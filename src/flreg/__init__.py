@@ -29,7 +29,6 @@ from .spectral import (
     EigenSystem,
     PerturbationReport,
     align_signs,
-    canonical_signs,
     eigendecompose,
     perturbation_report,
     resolvent_identity_residual,
@@ -39,7 +38,6 @@ from .estimators import (
     Dataset,
     FittedModel,
     compute_moments,
-    estimate_intercept,
     pca_fit,
     predict,
     ridge_fit,
@@ -60,7 +58,6 @@ from .evaluation import (
     RateFit,
     emit_table,
     mc_run,
-    oracle_tune,
     rate_fit,
 )
 

@@ -152,7 +152,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise DataFormatError(
             f"data grid (p={grid.p}) does not match model grid (p={model.slope.grid.p})"
         )
-    lines = [f"{predict(model, x):.17g}" for x in X]
+    lines = [f"{y:.17g}" for y in predict(model, X).tolist()]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -19,6 +19,7 @@ term, which for centred moments reduces to y_mean - <slope, x_mean>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     ParameterError,
     RankError,
 )
-from .grid import Grid, GridFunction, SymmetricKernel, inner_product
+from .grid import Grid, GridFunction, SymmetricKernel, _frozen_array, inner_product
 from .spectral import EigenSystem, eigendecompose
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "pca_fit",
     "ridge_fit",
     "ridge_filter_slope",
-    "estimate_intercept",
     "predict",
     "model_to_text",
     "model_from_text",
@@ -55,37 +55,28 @@ PCA_RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Dataset:
-    """n functional observations with scalar responses."""
+    """n functional observations with scalar responses.
+
+    Row i of the (n, p) matrix ``X`` samples the covariate X_i at the grid
+    midpoints; ``Y`` holds the n responses.
+    """
 
     grid: Grid
-    X: tuple[GridFunction, ...]
+    X: np.ndarray  # (n, p)
     Y: np.ndarray  # (n,)
 
     def __post_init__(self) -> None:
-        X = tuple(self.X)
-        Y = np.array(self.Y, dtype=float)
-        if len(X) < 2:
-            raise InsufficientDataError(f"need at least 2 observations, got {len(X)}")
-        if Y.shape != (len(X),):
-            raise DimensionMismatchError(
-                f"Y has shape {Y.shape}, expected ({len(X)},)"
-            )
-        if not np.all(np.isfinite(Y)):
-            raise ParameterError("Y contains non-finite entries")
-        for x in X:
-            if x.grid != self.grid:
-                raise DimensionMismatchError("all X_i must share the dataset grid")
-        Y.setflags(write=False)
+        n = len(self.X)
+        if n < 2:
+            raise InsufficientDataError(f"need at least 2 observations, got {n}")
+        X = _frozen_array(self.X, (n, self.grid.p), "X")
+        Y = _frozen_array(self.Y, (n,), "Y")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
     @property
     def n(self) -> int:
-        return len(self.X)
-
-    def x_matrix(self) -> np.ndarray:
-        """Observations stacked as an (n, p) matrix."""
-        return np.stack([x.values for x in self.X])
+        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,6 @@ class FittedModel:
     intercept: float
     method: str  # "pca" | "ridge"
     parameter: float  # the cutoff m (as a float) or the ridge rho
-    spectrum: EigenSystem | None = None
 
 
 def compute_moments(data: Dataset) -> CenteredMoments:
@@ -125,10 +115,9 @@ def compute_moments(data: Dataset) -> CenteredMoments:
     result independent of BLAS threading.
     """
     n, p = data.n, data.grid.p
-    xmat = data.x_matrix()
-    x_mean = np.mean(xmat, axis=0)
+    x_mean = np.mean(data.X, axis=0)
     y_mean = float(np.mean(data.Y))
-    xc = xmat - x_mean
+    xc = data.X - x_mean
     yc = data.Y - y_mean
     cov = np.einsum("ni,nj->ij", xc, xc) / n
     cross = np.einsum("ni,n->i", xc, yc) / n
@@ -182,13 +171,10 @@ def pca_fit(
         intercept=_intercept_from_moments(slope_fn, moments),
         method="pca",
         parameter=float(m),
-        spectrum=spectrum,
     )
 
 
-def ridge_fit(
-    moments: CenteredMoments, rho: float, spectrum: EigenSystem | None = None
-) -> FittedModel:
+def ridge_fit(moments: CenteredMoments, rho: float) -> FittedModel:
     """Tikhonov-regularised slope estimate.
 
     Solves the p x p system (cov / p + rho * identity) slope = cross_cov,
@@ -201,14 +187,11 @@ def ridge_fit(
     system = moments.cov.values / p + rho * np.eye(p)
     slope = np.linalg.solve(system, moments.cross_cov.values)
     slope_fn = GridFunction(moments.grid, slope)
-    if spectrum is None:
-        spectrum = eigendecompose(moments.cov)
     return FittedModel(
         slope=slope_fn,
         intercept=_intercept_from_moments(slope_fn, moments),
         method="ridge",
         parameter=float(rho),
-        spectrum=spectrum,
     )
 
 
@@ -230,17 +213,14 @@ def ridge_filter_slope(
     return GridFunction(spectrum.grid, spectrum.vectors @ coefs)
 
 
-def estimate_intercept(slope: GridFunction, data: Dataset) -> float:
-    """Average of Y_i minus the fitted functional term <slope, X_i>."""
-    if slope.grid != data.grid:
-        raise DimensionMismatchError("slope and data live on different grids")
-    fitted = data.x_matrix() @ slope.values / data.grid.p
-    return float(np.mean(data.Y - fitted))
-
-
-def predict(model: FittedModel, x_new: GridFunction) -> float:
-    """Plug-in prediction: intercept + <slope, x_new>."""
-    return model.intercept + inner_product(model.slope, x_new)
+def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
+    """Plug-in predictions intercept + <slope, X_i> for the rows of the
+    (n, p) matrix ``X``."""
+    X = np.asarray(X, dtype=float)
+    p = model.slope.grid.p
+    if X.ndim != 2 or X.shape[1] != p:
+        raise DimensionMismatchError(f"X has shape {X.shape}, expected (n, {p})")
+    return model.intercept + X @ model.slope.values / p
 
 
 def model_to_text(model: FittedModel) -> str:
@@ -278,25 +258,31 @@ def model_from_text(text: str) -> FittedModel:
         return line[len(prefix):]
 
     method = _field(lines[0], "method")
-    if method == "pca":
-        parameter = float(int(_field(lines[1], "m")))
-    elif method == "ridge":
-        parameter = float(_field(lines[1], "rho"))
-    else:
+    if method not in ("pca", "ridge"):
         raise DataFormatError(f"model file: unknown method {method!r}")
     try:
+        if method == "pca":
+            parameter = float(int(_field(lines[1], "m")))
+        else:
+            parameter = float(_field(lines[1], "rho"))
         intercept = float(_field(lines[2], "intercept"))
         p = int(_field(lines[3], "p"))
-        values = [float(line) for line in lines[4:] if line.strip()]
+        values = np.array([float(line) for line in lines[4:] if line.strip()])
     except ValueError as exc:
         raise DataFormatError(f"model file: non-numeric field ({exc})") from exc
+    if method == "pca" and parameter < 1:
+        raise DataFormatError(f"model file: need m >= 1, got {parameter:g}")
+    if method == "ridge" and not 0.0 < parameter < math.inf:
+        raise DataFormatError(f"model file: need finite rho > 0, got {parameter:g}")
+    if not (math.isfinite(intercept) and np.all(np.isfinite(values))):
+        raise DataFormatError("model file: non-finite intercept or slope value")
     if len(values) != p:
         raise DataFormatError(
             f"model file: expected {p} slope values, found {len(values)}"
         )
     grid = Grid(p)
     return FittedModel(
-        slope=GridFunction(grid, np.array(values)),
+        slope=GridFunction(grid, values),
         intercept=intercept,
         method=method,
         parameter=parameter,

@@ -39,7 +39,6 @@ __all__ = [
     "default_rho_grid",
     "integrated_bias_var",
     "mc_run",
-    "oracle_tune",
     "rate_fit",
     "emit_table",
     "parse_table",
@@ -157,7 +156,7 @@ def mc_run(
             except RankError:
                 failed.append(m)
         ridge_slopes = {
-            rho: ridge_fit(moments, rho, spectrum=spectrum).slope.values
+            rho: ridge_fit(moments, rho).slope.values
             for rho in rho_grid
         }
         return pca_slopes, ridge_slopes, failed
@@ -202,18 +201,6 @@ def mc_run(
         rho_profile=tuple((rho, ridge_errors[rho][2]) for rho in rho_grid),
         excluded_m=excluded,
     )
-
-
-def oracle_tune(
-    config: SimConfig,
-    replications: int,
-    m_grid: tuple[int, ...] = DEFAULT_M_GRID,
-    rho_grid: tuple[float, ...] | None = None,
-    threads: int = 1,
-) -> tuple[int, float]:
-    """MISE-minimizing (m, rho) for the scenario, via ``mc_run``."""
-    result = mc_run(config, replications, m_grid, rho_grid, threads)
-    return result.m_star, result.rho_star
 
 
 @dataclass(frozen=True)

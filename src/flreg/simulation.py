@@ -69,10 +69,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ParameterError(f"need n >= 2, got {self.n}")
-        if self.sigma_eps < 0.0:
-            raise ParameterError(f"need sigma_eps >= 0, got {self.sigma_eps}")
-        if not self.alpha > 0.0:
-            raise ParameterError(f"need alpha > 0, got {self.alpha}")
+        if not 0.0 <= self.sigma_eps < math.inf:
+            raise ParameterError(f"need finite sigma_eps >= 0, got {self.sigma_eps}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ParameterError(f"need finite alpha > 0, got {self.alpha}")
         if self.spacing not in SPACINGS:
             raise ParameterError(
                 f"spacing must be one of {SPACINGS}, got {self.spacing!r}"
@@ -209,8 +209,7 @@ def draw_dataset(config: SimConfig) -> tuple[Dataset, TruthBundle]:
     B = basis_matrix(grid, config.n_terms)
     xmat = np.einsum("nj,jp->np", scores * truth.gamma, B)
     y = np.einsum("np,p->n", xmat, truth.slope.values) / config.p + noise
-    X = tuple(GridFunction(grid, row) for row in xmat)
-    return Dataset(grid=grid, X=X, Y=y), truth
+    return Dataset(grid=grid, X=xmat, Y=y), truth
 
 
 _METADATA_RE = re.compile(r"^# grid=midpoint p=(\d+)$")
@@ -224,14 +223,15 @@ def dataset_to_csv(data: Dataset) -> str:
     header = ",".join([f"x_{i}" for i in range(1, p + 1)] + ["y"])
     lines = [f"# grid=midpoint p={p}", header]
     for x, y in zip(data.X, data.Y):
-        lines.append(",".join(f"{v:.17g}" for v in x.values) + f",{y:.17g}")
+        lines.append(",".join(f"{v:.17g}" for v in x) + f",{y:.17g}")
     return "\n".join(lines) + "\n"
 
 
 def dataset_from_csv(
     text: str, require_y: bool = True
-) -> tuple[Grid, tuple[GridFunction, ...], np.ndarray | None]:
-    """Parse dataset CSV text back into grid, covariates and responses.
+) -> tuple[Grid, np.ndarray, np.ndarray | None]:
+    """Parse dataset CSV text back into grid, (n, p) covariate matrix and
+    responses.  Every cell must be a finite number.
 
     With ``require_y=False`` the y column may be absent, in which case the
     returned responses are None (as needed when predicting on new curves).
@@ -259,9 +259,11 @@ def dataset_from_csv(
             f"dataset CSV header does not match the declared grid size p={p}"
         )
     n_cols = p + 1 if has_y else p
-    X: list[GridFunction] = []
-    ys: list[float] = []
-    for lineno, line in enumerate(lines[2:], start=3):
+    rows = lines[2:]
+    X = np.empty((len(rows), p))
+    Y = np.empty(len(rows)) if has_y else None
+    for i, line in enumerate(rows):
+        lineno = i + 3
         fields = line.split(",")
         if len(fields) != n_cols:
             raise DataFormatError(
@@ -271,7 +273,9 @@ def dataset_from_csv(
             row = [float(f) for f in fields]
         except ValueError as exc:
             raise DataFormatError(f"dataset CSV line {lineno}: non-numeric cell") from exc
-        X.append(GridFunction(grid, np.array(row[:p])))
+        if not all(map(math.isfinite, row)):
+            raise DataFormatError(f"dataset CSV line {lineno}: non-finite cell")
+        X[i] = row[:p]
         if has_y:
-            ys.append(row[p])
-    return grid, tuple(X), (np.array(ys) if has_y else None)
+            Y[i] = row[p]
+    return grid, X, Y

@@ -31,7 +31,6 @@ __all__ = [
     "PerturbationReport",
     "eigendecompose",
     "align_signs",
-    "canonical_signs",
     "perturbation_report",
     "resolvent_identity_residual",
     "report_to_tsv",
@@ -107,17 +106,6 @@ def align_signs(system: EigenSystem, reference: EigenSystem) -> EigenSystem:
     overlaps = np.einsum("ij,ij->j", system.vectors, reference.vectors) / system.grid.p
     signs = np.where(overlaps < 0.0, -1.0, 1.0)
     return EigenSystem(system.grid, system.eigenvalues, system.vectors * signs)
-
-
-def canonical_signs(system: EigenSystem) -> EigenSystem:
-    """Deterministic sign convention when no reference basis exists: the
-    entry of largest absolute value of each eigenfunction is made
-    nonnegative, ties broken by lowest index."""
-    vecs = system.vectors
-    lead_idx = np.argmax(np.abs(vecs), axis=0)  # argmax takes the lowest index on ties
-    lead = vecs[lead_idx, np.arange(vecs.shape[1])]
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    return EigenSystem(system.grid, system.eigenvalues, vecs * signs)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def test_criterion_3_ridge_spectral_equivalence():
         )
         spectrum = eigendecompose(moments.cov)
         for rho in (1e-4, 1e-2, 1.0):
-            solve = ridge_fit(moments, rho, spectrum=spectrum).slope
+            solve = ridge_fit(moments, rho).slope
             filt = ridge_filter_slope(spectrum, moments.cross_cov, rho)
             gap = l2_norm(GridFunction(grid, solve.values - filt.values))
             worst = max(worst, gap)

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flreg
 from flreg.cli import run
 from flreg.estimators import model_from_text
 from flreg.simulation import dataset_from_csv
@@ -115,12 +118,35 @@ class TestErrorPaths:
         assert run(["fit", "--data", str(bad), "--method", "ridge",
                     "--rho", "0.1", "--out", str(out)]) == 3
 
-    def test_non_numeric_cell_is_data_format(self, tmp_path):
+    def test_non_numeric_cell_is_data_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("# grid=midpoint p=2\nx_1,x_2,y\n1,zap,3\n1,2,3\n")
         out = tmp_path / "model.txt"
-        assert run(["fit", "--data", str(bad), "--method", "ridge",
-                    "--rho", "0.1", "--out", str(out)]) == 3
+        for cell in ("zap", "nan", "inf", "-inf"):
+            bad.write_text(f"# grid=midpoint p=2\nx_1,x_2,y\n1,2,3\n1,{cell},3\n1,2,3\n")
+            assert run(["fit", "--data", str(bad), "--method", "ridge",
+                        "--rho", "0.1", "--out", str(out)]) == 3
+            assert "line 4" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("line,value", [
+        (1, "m=abc"), (1, "m=0"), (1, "m=-2"), (1, "m=1.5"),
+        (1, "rho=-1"), (1, "rho=0"), (1, "rho=nan"), (1, "rho=inf"), (1, "rho=abc"),
+        (2, "intercept=nan"), (2, "intercept=inf"), (4, "nan"), (7, "-inf"),
+    ])
+    def test_malformed_model_file_is_data_format(self, tmp_path, line, value):
+        data = simulate(tmp_path, n=6)
+        model_path = tmp_path / "model.txt"
+        method = "pca" if value.startswith("m=") else "ridge"
+        tuning = ["--m", "2"] if method == "pca" else ["--rho", "0.1"]
+        assert run(["fit", "--data", str(data), "--method", method, *tuning,
+                    "--out", str(model_path)]) == 0
+        lines = read(model_path).splitlines()
+        lines[line] = value
+        model_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "preds.txt"
+        assert run(["predict", "--model", str(model_path), "--data", str(data),
+                    "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_unreadable_input_is_io_error(self, tmp_path):
         out = tmp_path / "model.txt"
@@ -133,6 +159,29 @@ class TestErrorPaths:
              "ridge", "--rho", "0.1", "--out", str(out)])
         assert not out.exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".flreg-")]
+
+
+class TestPredictThreads:
+    def test_predict_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        train = simulate(tmp_path, name="train.csv", n=200, sigma="0.5")
+        new = simulate(tmp_path, name="new.csv", n=2000, seed="2")
+        model_path = tmp_path / "model.txt"
+        assert run(["fit", "--data", str(train), "--method", "ridge",
+                    "--rho", "0.01", "--out", str(model_path)]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flreg.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"preds{threads}.txt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "flreg", "predict", "--model", str(model_path),
+                 "--data", str(new), "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == 2000
+        assert outputs[0] == outputs[1]
 
 
 class TestBatchCommands:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from flreg import (
     compute_moments,
     draw_dataset,
     eigendecompose,
-    estimate_intercept,
     hs_norm,
     inner_product,
     l2_distance_sq,
@@ -66,8 +67,8 @@ def random_psd_moments(seed, p=50):
 
 class TestComputeMoments:
     def test_identical_observations_give_zero_moments(self):
-        x = basis(3, GRID)
-        data = Dataset(GRID, (x, x, x), np.array([1.0, 1.0, 1.0]))
+        x = basis(3, GRID).values
+        data = Dataset(GRID, np.stack([x, x, x]), np.array([1.0, 1.0, 1.0]))
         moments = compute_moments(data)
         # centring identical rows leaves at most 1-ulp residue
         assert hs_norm(moments.cov) <= 1e-30
@@ -75,9 +76,7 @@ class TestComputeMoments:
 
     def test_two_point_hand_case(self):
         phi = basis(2, GRID)
-        data = Dataset(
-            GRID, (phi, GridFunction(GRID, -phi.values)), np.array([1.0, -1.0])
-        )
+        data = Dataset(GRID, np.stack([phi.values, -phi.values]), np.array([1.0, -1.0]))
         moments = compute_moments(data)
         expected = np.outer(phi.values, phi.values)
         assert np.max(np.abs(moments.cov.values - expected)) <= 1e-12
@@ -109,7 +108,22 @@ class TestComputeMoments:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            Dataset(GRID, (basis(1, GRID),), np.array([1.0]))
+            Dataset(GRID, basis(1, GRID).values[None, :], np.array([1.0]))
+
+    def test_dataset_matrix_is_validated_and_read_only(self):
+        X = np.stack([basis(1, GRID).values, basis(2, GRID).values])
+        data = Dataset(GRID, X, np.array([1.0, 2.0]))
+        assert data.n == 2 and data.X.shape == (2, 50)
+        assert not data.X.flags.writeable and not data.Y.flags.writeable
+        X[0, 0] = 7.0  # the dataset holds its own copy
+        assert data.X[0, 0] == 1.0
+        X[0, 0] = np.nan
+        with pytest.raises(ParameterError):
+            Dataset(GRID, X, np.array([1.0, 2.0]))
+        with pytest.raises(ParameterError):
+            Dataset(GRID, np.ones((2, 50)), np.array([1.0, np.inf]))
+        with pytest.raises(DimensionMismatchError):
+            Dataset(GRID, np.ones((2, 50)), np.ones(3))
 
 
 class TestPcaFit:
@@ -181,7 +195,7 @@ class TestRidgeFit:
         for seed in range(10):
             moments = random_psd_moments(seed)
             spectrum = eigendecompose(moments.cov)
-            via_solve = ridge_fit(moments, rho, spectrum=spectrum).slope
+            via_solve = ridge_fit(moments, rho).slope
             via_filter = ridge_filter_slope(spectrum, moments.cross_cov, rho)
             gap = l2_norm(gf(via_solve.values - via_filter.values))
             assert gap <= 1e-8
@@ -200,7 +214,7 @@ class TestRidgeFit:
             cross_cov=GridFunction(grid, rng.standard_normal(20)),
         )
         spectrum = eigendecompose(moments.cov)
-        ridge = ridge_fit(moments, 1e-10, spectrum=spectrum).slope
+        ridge = ridge_fit(moments, 1e-10).slope
         pca = pca_fit(moments, usable_rank(spectrum), spectrum=spectrum).slope
         assert l2_norm(GridFunction(grid, ridge.values - pca.values)) <= 1e-6
 
@@ -232,46 +246,63 @@ class TestSignInvariance:
         assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
 
 
+def fitted_intercept(slope, data):
+    """Average of Y_i minus the fitted functional term <slope, X_i>."""
+    return float(np.mean(data.Y - data.X @ slope.values / data.grid.p))
+
+
 class TestInterceptAndPredict:
+    # The fitted intercept is y_mean - <slope, x_mean>, computed from the
+    # moments; each case checks it against the data-side average above.
     def test_zero_slope_intercept_is_mean_response(self):
         data, _ = draw_dataset(
             SimConfig(n=50, sigma_eps=1.0, alpha=2.0, spacing="well_spaced", seed=5)
         )
-        assert estimate_intercept(gf(np.zeros(50)), data) == pytest.approx(
-            float(np.mean(data.Y))
-        )
+        moments = dataclasses.replace(compute_moments(data), cross_cov=gf(np.zeros(50)))
+        model = pca_fit(moments, 1)
+        assert np.all(model.slope.values == 0.0)
+        assert model.intercept == pytest.approx(float(np.mean(data.Y)))
 
     def test_true_slope_noiseless_recovers_zero_intercept(self):
         data, truth = draw_dataset(
             SimConfig(n=100, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=6)
         )
-        assert abs(estimate_intercept(truth.slope, data)) <= 1e-10
+        model = pca_fit(compute_moments(data), 50)
+        assert abs(fitted_intercept(truth.slope, data)) <= 1e-10
+        assert abs(model.intercept) <= 1e-10
 
     def test_translation_equivariance(self):
-        data, truth = draw_dataset(
+        data, _ = draw_dataset(
             SimConfig(n=50, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=8)
         )
         shifted = Dataset(data.grid, data.X, data.Y + 2.5)
-        base = estimate_intercept(truth.slope, data)
-        assert estimate_intercept(truth.slope, shifted) == pytest.approx(base + 2.5)
+        for fit in (lambda mo: pca_fit(mo, 3), lambda mo: ridge_fit(mo, 0.01)):
+            base = fit(compute_moments(data))
+            moved = fit(compute_moments(shifted))
+            assert moved.intercept == pytest.approx(base.intercept + 2.5)
+            assert moved.intercept == pytest.approx(
+                fitted_intercept(moved.slope, shifted), abs=1e-10
+            )
 
     def test_moment_path_matches_data_path(self):
         data, _ = draw_dataset(
             SimConfig(n=120, sigma_eps=0.5, alpha=1.5, spacing="well_spaced", seed=13)
         )
         moments = compute_moments(data)
-        model = ridge_fit(moments, 0.01)
-        assert model.intercept == pytest.approx(
-            estimate_intercept(model.slope, data), abs=1e-10
-        )
+        for model in (ridge_fit(moments, 0.01), pca_fit(moments, 4)):
+            assert model.intercept == pytest.approx(
+                fitted_intercept(model.slope, data), abs=1e-10
+            )
 
     def test_predict_trivials(self):
         from flreg.estimators import FittedModel
 
         model = FittedModel(slope=gf(np.zeros(50)), intercept=1.5, method="ridge", parameter=1.0)
-        assert predict(model, basis(3, GRID)) == 1.5
+        np.testing.assert_array_equal(predict(model, basis(3, GRID).values[None, :]), [1.5])
         model2 = FittedModel(slope=basis(2, GRID), intercept=0.0, method="pca", parameter=1.0)
-        assert predict(model2, gf(3.0 * basis(2, GRID).values)) == pytest.approx(3.0)
+        X = np.stack([3.0 * basis(2, GRID).values, basis(4, GRID).values])
+        np.testing.assert_allclose(predict(model2, X), [3.0, 0.0], atol=1e-12)
+        assert predict(model2, np.empty((0, 50))).shape == (0,)
 
     def test_noiseless_plugin_prediction_is_exact(self):
         from flreg.estimators import FittedModel
@@ -279,15 +310,21 @@ class TestInterceptAndPredict:
         cfg = SimConfig(n=30, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=15)
         data, truth = draw_dataset(cfg)
         model = FittedModel(slope=truth.slope, intercept=0.0, method="pca", parameter=50.0)
-        for x, y in zip(data.X, data.Y):
-            assert predict(model, x) == pytest.approx(float(y), abs=1e-12)
+        preds = predict(model, data.X)
+        assert preds.shape == (30,)
+        np.testing.assert_allclose(preds, data.Y, rtol=0.0, atol=1e-12)
+        for x, y in zip(data.X, preds):
+            assert y == pytest.approx(inner_product(model.slope, GridFunction(GRID, x)))
 
     def test_grid_mismatch(self):
-        data, _ = draw_dataset(
-            SimConfig(n=10, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=1)
-        )
+        from flreg.estimators import FittedModel
+
+        model = FittedModel(slope=gf(np.zeros(50)), intercept=0.0, method="ridge", parameter=1.0)
+        for X in (np.zeros((3, 20)), np.zeros(50)):
+            with pytest.raises(DimensionMismatchError):
+                predict(model, X)
         with pytest.raises(DimensionMismatchError):
-            estimate_intercept(GridFunction(Grid(20), np.zeros(20)), data)
+            Dataset(GRID, np.zeros((3, 20)), np.zeros(3))
 
 
 class TestModelFile:

@@ -8,7 +8,6 @@ from flreg import (
     ParameterError,
     SimConfig,
     mc_run,
-    oracle_tune,
     rate_fit,
 )
 from flreg.evaluation import (
@@ -88,12 +87,24 @@ class TestMcRun:
         with pytest.raises(ParameterError):
             mc_run(SMALL, 4, rho_grid=(0.0, 0.1))
 
+    @pytest.mark.parametrize("n,m_star", [(100, 1), (500, 5)])
+    def test_restricted_cutoff_grid_reproduces_reference_closely_spaced_cells(
+        self, n, m_star
+    ):
+        # README "Benchmark notes", criterion 6: on the cutoff grid
+        # {1, 5, 10, 15, 20} the oracle picks the reference optima and ridge
+        # beats the cutoff estimator.  Criterion 6 itself keeps the full grid.
+        cfg = SimConfig(n=n, sigma_eps=0.5, alpha=2.0, spacing="closely_spaced", seed=7)
+        result = mc_run(cfg, 200, m_grid=(1, 5, 10, 15, 20), threads=2)
+        assert result.m_star == m_star
+        assert result.mise_ridge < result.mise_pca
+
 
 class TestOracleTune:
     def test_singleton_rho_grid_is_returned(self):
-        m_star, rho_star = oracle_tune(SMALL, 6, m_grid=(1, 2), rho_grid=(0.07,))
-        assert rho_star == 0.07
-        assert m_star in (1, 2)
+        result = mc_run(SMALL, 6, m_grid=(1, 2), rho_grid=(0.07,))
+        assert result.rho_star == 0.07
+        assert result.m_star in (1, 2)
 
     def test_tie_breaking(self):
         assert _best_m({3: 1.0, 1: 1.0, 2: 2.0}) == 1
@@ -108,8 +119,7 @@ class TestOracleTune:
                 cfg = SimConfig(
                     n=n, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=300 + rerun
                 )
-                m_star, _ = oracle_tune(cfg, 40, rho_grid=(1e-2,))
-                picks.append(m_star)
+                picks.append(mc_run(cfg, 40, rho_grid=(1e-2,)).m_star)
             medians[n] = statistics.median(picks)
         assert medians[500] >= medians[100]
 

@@ -116,8 +116,7 @@ class TestDrawDataset:
         a, _ = draw_dataset(cfg)
         b, _ = draw_dataset(cfg)
         assert np.array_equal(a.Y, b.Y)
-        for x, y in zip(a.X, b.X):
-            assert np.array_equal(x.values, y.values)
+        assert np.array_equal(a.X, b.X)
 
     def test_child_configs_differ(self):
         cfg = SimConfig(n=20, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=42)
@@ -136,7 +135,7 @@ class TestDrawDataset:
         data, truth = draw_dataset(cfg)
         coefs = slope_coefficients(3)
         for x, y in zip(data.X, data.Y):
-            z_gamma = [inner_product(x, basis(j + 1, GRID)) for j in range(3)]
+            z_gamma = basis_matrix(GRID, 3) @ x / GRID.p
             assert y == pytest.approx(float(np.dot(z_gamma, coefs)), abs=1e-12)
 
     def test_score_moments_match_design(self):
@@ -148,7 +147,7 @@ class TestDrawDataset:
         data, truth = draw_dataset(cfg)
         grid = Grid(10)
         B = np.stack([basis(j, grid).values for j in range(1, 5)])
-        scores = data.x_matrix() @ B.T / grid.p / truth.gamma  # (n, 4)
+        scores = data.X @ B.T / grid.p / truth.gamma  # (n, 4)
         n = cfg.n
         assert np.max(np.abs(scores.mean(axis=0))) < 3.0 / math.sqrt(n)
         cov = scores.T @ scores / n
@@ -164,7 +163,7 @@ class TestDrawDataset:
         data, truth = draw_dataset(cfg)
         grid = Grid(10)
         B = np.stack([basis(j, grid).values for j in range(1, 5)])
-        comps = data.x_matrix() @ B.T / grid.p  # xi_ij = gamma_j Z_ij
+        comps = data.X @ B.T / grid.p  # xi_ij = gamma_j Z_ij
         emp_var = np.mean(comps**2, axis=0)
         kappa = truth.gamma**2
         se = np.sqrt(0.8 / cfg.n) * kappa  # var(xi^2) = kappa^2 var(Z^2)
@@ -177,6 +176,12 @@ class TestDrawDataset:
             SimConfig(n=10, sigma_eps=-0.1, alpha=2.0, spacing="well_spaced")
         with pytest.raises(ParameterError):
             SimConfig(n=10, sigma_eps=0.5, alpha=0.0, spacing="well_spaced")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                SimConfig(n=10, sigma_eps=bad, alpha=2.0, spacing="well_spaced")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                SimConfig(n=10, sigma_eps=0.5, alpha=bad, spacing="well_spaced")
         with pytest.raises(ParameterError):
             SimConfig(n=10, sigma_eps=0.5, alpha=2.0, spacing="sideways")
         with pytest.raises(ParameterError):
@@ -190,8 +195,8 @@ class TestDatasetCsv:
         grid, X, Y = dataset_from_csv(dataset_to_csv(data))
         assert grid == data.grid
         assert np.array_equal(Y, data.Y)
-        for orig, restored in zip(data.X, X):
-            assert np.array_equal(orig.values, restored.values)
+        assert X.shape == (5, 50)
+        assert np.array_equal(X, data.X)
 
     def test_metadata_line_required(self):
         cfg = SimConfig(n=3, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=1)
@@ -209,6 +214,11 @@ class TestDatasetCsv:
             dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n1,2\n")
         with pytest.raises(DataFormatError):
             dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n1,2,zap\n")
+        for cell in ("nan", "inf", "-inf", "1e999"):
+            with pytest.raises(DataFormatError, match="line 4: non-finite cell"):
+                dataset_from_csv(f"# grid=midpoint p=2\nx_1,x_2,y\n1,2,3\n1,{cell},3\n")
+            with pytest.raises(DataFormatError, match="line 3: non-finite cell"):
+                dataset_from_csv(f"# grid=midpoint p=2\nx_1,x_2,y\n1,2,{cell}\n")
         with pytest.raises(DataFormatError):
             dataset_from_csv("# grid=midpoint p=2\nx_1,x_3,y\n1,2,3\n")
 
@@ -217,4 +227,6 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError):
             dataset_from_csv(text, require_y=True)
         _, X, Y = dataset_from_csv(text, require_y=False)
-        assert Y is None and len(X) == 1
+        assert Y is None and X.shape == (1, 2)
+        _, X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n")
+        assert X.shape == (0, 2) and Y.shape == (0,)

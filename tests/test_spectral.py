@@ -13,7 +13,6 @@ from flreg import (
     SimConfig,
     SymmetricKernel,
     align_signs,
-    canonical_signs,
     compute_moments,
     draw_dataset,
     eigendecompose,
@@ -113,23 +112,6 @@ class TestSignConventions:
         aligned = align_signs(per, ref)
         overlaps = np.einsum("ij,ij->j", aligned.vectors, ref.vectors) / grid.p
         assert np.all(overlaps >= 0.0)
-
-    def test_canonical_signs_handles_constants(self):
-        grid = Grid(10)
-        vecs = np.column_stack([np.full(10, -1.0), np.full(10, 1.0)])
-        fixed = canonical_signs(EigenSystem(grid, np.array([1.0, 0.5]), vecs))
-        assert np.all(fixed.vectors[:, 0] == 1.0)
-        assert np.all(fixed.vectors[:, 1] == 1.0)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_canonical_signs_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        grid = Grid(9)
-        sys = eigendecompose(random_symmetric_kernel(grid, rng))
-        once = canonical_signs(sys)
-        twice = canonical_signs(once)
-        np.testing.assert_array_equal(once.vectors, twice.vectors)
 
 
 class TestPerturbationReport:
