@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Empirical convergence-rate study for both estimators.
 
-Fits the log-log slope of oracle-tuned MISE against sample size and
-compares it with the minimax exponent -(2 beta - 1)/(alpha + 2 beta); for
-the default design (alpha = 2, slope smoothness beta = 2) the target is
--1/2.
+A thin wrapper around ``flreg rate-check``: prints, per estimator and
+sample size, the oracle-tuned MISE, the fitted log-log slope against n and
+the minimax exponent -(2 beta - 1)/(alpha + 2 beta); for the default
+design (alpha = 2, slope smoothness beta = 2) the target is -1/2.
 """
 
 import argparse
@@ -13,36 +13,24 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from flreg import SimConfig, mc_run, rate_fit
+from flreg.cli import run
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--alpha", type=float, default=2.0)
-    parser.add_argument("--beta", type=float, default=2.0)
-    parser.add_argument("--sigma", type=float, default=0.5)
-    parser.add_argument("--n", type=int, nargs="+", default=[100, 200, 400, 800])
-    parser.add_argument("--reps", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--alpha", default="2")
+    parser.add_argument("--beta", default="2")
+    parser.add_argument("--sigma", default="0.5")
+    parser.add_argument("--n", default="100,200,400,800", help="comma list, >= 3 sizes")
+    parser.add_argument("--reps", default="200")
+    parser.add_argument("--seed", default="7")
+    parser.add_argument("--threads", default=str(os.cpu_count() or 1))
     args = parser.parse_args()
-
-    sizes = tuple(sorted(args.n))
-    results = []
-    for n in sizes:
-        cfg = SimConfig(
-            n=n, sigma_eps=args.sigma, alpha=args.alpha,
-            spacing="well_spaced", seed=args.seed,
-        )
-        results.append(mc_run(cfg, args.reps, threads=args.threads))
-        print(f"n={n}: m*={results[-1].m_star} rho*={results[-1].rho_star:.4g} "
-              f"mise_pca={results[-1].mise_pca:.4f} mise_ridge={results[-1].mise_ridge:.4f}")
-
-    for estimator in ("pca", "ridge"):
-        fit = rate_fit(args.alpha, args.beta, sizes, results, estimator=estimator)
-        print(f"{estimator}: fitted slope {fit.fitted_slope:+.4f}  "
-              f"theoretical {fit.theoretical_slope:+.4f}")
+    return run(
+        ["rate-check", "--alpha", args.alpha, "--beta", args.beta, "--sigma", args.sigma,
+         "--n", args.n, "--reps", args.reps, "--seed", args.seed, "--threads", args.threads]
+    )
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

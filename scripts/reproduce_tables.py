@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the Monte Carlo error tables for both eigenvalue designs.
 
-Desk-scale defaults (200 replications); pass --reps 1000 for the full run.
-Prints one aligned table per design plus the oracle tuning profiles of the
-last scenario, which show how the closely-spaced design punishes cutoffs
-that land inside a block of nearly tied eigenvalues.
+A thin wrapper around ``flreg mc-table --format text --profile``: prints one
+aligned table per design and writes its per-candidate MISE profiles to
+``profile_<design>.tsv`` in ``--out-dir``.  The closely-spaced profile shows
+how that design punishes cutoffs that land inside a block of nearly tied
+eigenvalues.  Desk-scale defaults (200 replications); pass --reps 1000 for
+the full run.
 """
 
 import argparse
@@ -13,38 +15,34 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from flreg import SimConfig, mc_run
-from flreg.evaluation import emit_table
+from flreg.cli import run
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--sigma", type=float, nargs="+", default=[0.5, 1.0])
-    parser.add_argument("--n", type=int, nargs="+", default=[100, 500])
-    parser.add_argument("--alpha", type=float, nargs="+", default=[1.1, 1.5, 2.0, 4.0])
+    parser.add_argument("--reps", default="200")
+    parser.add_argument("--seed", default="7")
+    parser.add_argument("--threads", default=str(os.cpu_count() or 1))
+    parser.add_argument("--sigma", default="0.5,1", help="comma list")
+    parser.add_argument("--n", default="100,500", help="comma list")
+    parser.add_argument("--alpha", default="1.1,1.5,2,4", help="comma list")
+    parser.add_argument("--out-dir", default=".", help="where the profiles go")
     args = parser.parse_args()
 
-    for spacing in ("well_spaced", "closely_spaced"):
-        results = []
-        for sigma in args.sigma:
-            for n in args.n:
-                for alpha in args.alpha:
-                    cfg = SimConfig(
-                        n=n, sigma_eps=sigma, alpha=alpha, spacing=spacing, seed=args.seed
-                    )
-                    results.append(mc_run(cfg, args.reps, threads=args.threads))
-        print(f"\n== {spacing} ==")
-        print(emit_table(results, fmt="text"), end="")
-
-    # cutoff profile of the last closely-spaced scenario: whole-block
-    # cutoffs (1, 4, 9, ...) dip, mid-block cutoffs blow up
-    print("\nMISE by cutoff m (last closely-spaced scenario):")
-    for m, mise in results[-1].m_profile:
-        print(f"  m={m:>2d}  {mise:10.4f}")
+    os.makedirs(args.out_dir, exist_ok=True)
+    for design in ("well", "closely"):
+        print(f"\n== {design} ==", flush=True)
+        profile = os.path.join(args.out_dir, f"profile_{design}.tsv")
+        status = run(
+            ["mc-table", "--spacing", design, "--sigma", args.sigma, "--n", args.n,
+             "--alpha", args.alpha, "--reps", args.reps, "--seed", args.seed,
+             "--threads", args.threads, "--format", "text", "--profile", profile]
+        )
+        if status:
+            return status
+        print(f"per-candidate MISE profiles: {profile}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -37,6 +37,7 @@ from .evaluation import (
     emit_table,
     mc_run,
     rate_fit,
+    theoretical_rate_slope,
 )
 from .simulation import (
     SimConfig,
@@ -185,6 +186,7 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate_check(args: argparse.Namespace) -> int:
+    theoretical_rate_slope(args.alpha, args.beta)  # reject a bad exponent before the runs
     sizes = tuple(sorted(args.n))
     results = []
     for n in sizes:
@@ -211,7 +213,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         spacing=args.spacing, seed=args.seed,
     )
     truth = truth_bundle(config)
-    data, _ = draw_dataset(config)
+    data, _ = draw_dataset(config, truth)
     moments = compute_moments(data)
     report = perturbation_report(truth.kernel, moments.cov, args.j_max)
     _emit(report_to_tsv(report), args.out)

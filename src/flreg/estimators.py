@@ -2,16 +2,18 @@
 
 Given pairs (X_i, Y_i) with functional covariates, the centred second
 moments are the empirical covariance kernel and the empirical
-cross-covariance function.  Two slope estimators are provided:
+cross-covariance function.  Both slope estimators filter the coordinates
+<cross_cov, v_j> of one ``EigenSystem``, and one array kernel each gives
+every candidate at once:
 
-* ``pca_fit`` inverts the covariance on the span of its top m empirical
-  eigenfunctions (spectral cutoff; m is the smoothing parameter);
-* ``ridge_fit`` solves the Tikhonov-regularised operator equation
-  (cov + rho * identity) slope = cross_cov (rho is the smoothing
-  parameter), via a dense linear solve.  The equivalent spectral-filter
-  form over all p eigenpairs is exposed separately as
-  ``ridge_filter_slope`` so the two routes can be checked against each
-  other.
+* ``cutoff_path`` (spectral cutoff, smoothing parameter m) sums
+  <cross_cov, v_j> / eigenvalue_j * v_j over j <= m by one cumulative sum,
+  so the estimates are exactly nested in m; ``pca_fit`` is one of its rows.
+* ``ridge_path`` (Tikhonov ridge, smoothing parameter rho) weights all p
+  eigenpairs by 1 / (eigenvalue_j + rho) in one matrix product;
+  ``ridge_filter_slope`` is one row.  ``ridge_fit`` instead solves
+  (cov + rho * identity) slope = cross_cov densely: the single-fit route,
+  and the oracle the spectral filter is checked against.
 
 The intercept is always the average of Y_i minus the fitted functional
 term, which for centred moments reduces to y_mean - <slope, x_mean>.
@@ -40,6 +42,8 @@ __all__ = [
     "FittedModel",
     "compute_moments",
     "usable_rank",
+    "cutoff_path",
+    "ridge_path",
     "pca_fit",
     "ridge_fit",
     "ridge_filter_slope",
@@ -141,15 +145,38 @@ def _intercept_from_moments(slope: GridFunction, moments: CenteredMoments) -> fl
     return moments.y_mean - inner_product(slope, moments.x_mean)
 
 
+def _eigen_coords(spectrum: EigenSystem, cross_cov: GridFunction) -> np.ndarray:
+    """Quadrature inner products <cross_cov, v_j> for all p eigenfunctions."""
+    if spectrum.grid != cross_cov.grid:
+        raise DimensionMismatchError("spectrum and cross-covariance grids differ")
+    return cross_cov.values @ spectrum.vectors / spectrum.grid.p
+
+
+def cutoff_path(spectrum: EigenSystem, cross_cov: GridFunction, m_max: int) -> np.ndarray:
+    """Spectral-cutoff slopes for m = 1..k as the rows of a (k, p) array,
+    k = min(m_max, usable rank); terms are summed in ascending j."""
+    k = min(m_max, usable_rank(spectrum))
+    coefs = _eigen_coords(spectrum, cross_cov)[:k] / spectrum.eigenvalues[:k]
+    return np.cumsum(coefs[:, None] * spectrum.vectors[:, :k].T, axis=0)
+
+
+def ridge_path(
+    spectrum: EigenSystem, cross_cov: GridFunction, rhos: tuple[float, ...]
+) -> np.ndarray:
+    """Ridge slopes for each finite, positive rho in ``rhos``, as (K, p)."""
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all((rhos > 0.0) & (rhos < math.inf)):
+        raise ParameterError(f"ridge parameters must be finite and positive, got {rhos}")
+    coords = _eigen_coords(spectrum, cross_cov)
+    return (coords / (spectrum.eigenvalues + rhos[:, None])) @ spectrum.vectors.T
+
+
 def pca_fit(
     moments: CenteredMoments, m: int, spectrum: EigenSystem | None = None
 ) -> FittedModel:
-    """Spectral-cutoff slope estimate using the top m empirical eigenpairs.
-
-    The slope is the sum over j <= m of (<cross_cov, v_j> / eigenvalue_j)
-    * v_j.  Terms are accumulated in ascending j so the estimates are
-    exactly nested in m.  A precomputed ``spectrum`` of ``moments.cov`` may
-    be passed to avoid repeated eigendecompositions.
+    """Spectral-cutoff slope estimate using the top m empirical eigenpairs,
+    the m-th row of ``cutoff_path``.  A precomputed ``spectrum`` of ``moments.cov``
+    may be passed to avoid repeated eigendecompositions.
     """
     if spectrum is None:
         spectrum = eigendecompose(moments.cov)
@@ -159,13 +186,7 @@ def pca_fit(
             f"cutoff m={m} outside the usable spectral rank; "
             f"largest admissible m is {rank}"
         )
-    p = moments.grid.p
-    g = moments.cross_cov.values
-    slope = np.zeros(p)
-    for j in range(m):
-        coef = float(np.dot(spectrum.vectors[:, j], g)) / p / spectrum.eigenvalues[j]
-        slope = slope + coef * spectrum.vectors[:, j]
-    slope_fn = GridFunction(moments.grid, slope)
+    slope_fn = GridFunction(moments.grid, cutoff_path(spectrum, moments.cross_cov, m)[-1])
     return FittedModel(
         slope=slope_fn,
         intercept=_intercept_from_moments(slope_fn, moments),
@@ -198,19 +219,8 @@ def ridge_fit(moments: CenteredMoments, rho: float) -> FittedModel:
 def ridge_filter_slope(
     spectrum: EigenSystem, cross_cov: GridFunction, rho: float
 ) -> GridFunction:
-    """Ridge slope via the spectral filter over all p eigenpairs.
-
-    Independent route to the same estimate as ``ridge_fit``: the coefficient
-    on eigenfunction j is <cross_cov, v_j> / (eigenvalue_j + rho).
-    """
-    if not rho > 0.0:
-        raise ParameterError(f"ridge parameter must be positive, got {rho}")
-    if spectrum.grid != cross_cov.grid:
-        raise DimensionMismatchError("spectrum and cross-covariance grids differ")
-    p = spectrum.grid.p
-    coords = spectrum.vectors.T @ cross_cov.values / p
-    coefs = coords / (spectrum.eigenvalues + rho)
-    return GridFunction(spectrum.grid, spectrum.vectors @ coefs)
+    """Ridge slope via the spectral filter: the row of ``ridge_path`` for rho."""
+    return GridFunction(spectrum.grid, ridge_path(spectrum, cross_cov, (rho,))[0])
 
 
 def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:

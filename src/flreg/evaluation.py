@@ -1,10 +1,10 @@
 """Monte Carlo benchmark harness for the two slope estimators.
 
-For a simulation scenario, ``mc_run`` draws R replicated datasets (one
-child seed per replication), fits the spectral-cutoff estimator for every
-candidate cutoff m and the ridge estimator for every candidate rho on the
-same data (common random numbers), and aggregates, per candidate and on the
-evaluation grid,
+For a simulation scenario, ``mc_run`` builds the truth once and draws R
+replicated datasets (one child seed per replication).  From one
+eigendecomposition per replication, ``cutoff_path`` and ``ridge_path`` give
+the estimates for every candidate m and rho on the same data (common random
+numbers), and it aggregates, per candidate and on the evaluation grid,
 
     Bias^2 = integral of (mean estimate - true slope)^2,
     Var    = mean integral of (estimate - mean estimate)^2,
@@ -22,13 +22,15 @@ fixed replication order, so results are bit-identical for any thread count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, RankError
-from .estimators import compute_moments, pca_fit, ridge_fit
+from .estimators import compute_moments, cutoff_path, ridge_path
+from .estimators import pca_fit, ridge_fit  # noqa: F401 (perfbench traces these names)
 from .simulation import SimConfig, draw_dataset, truth_bundle
 from .spectral import eigendecompose
 
@@ -51,8 +53,8 @@ DEFAULT_M_GRID: tuple[int, ...] = tuple(range(1, 21))
 
 def default_rho_grid(count: int = 25, lo: float = 1e-6, hi: float = 1.0) -> tuple[float, ...]:
     """Log-spaced ridge candidates, 25 points in [1e-6, 1] by default."""
-    if count < 1 or not 0.0 < lo <= hi:
-        raise ParameterError("invalid rho grid specification")
+    if count < 1 or not 0.0 < lo <= hi < math.inf:
+        raise ParameterError(f"invalid rho grid: count={count}, lo={lo:g}, hi={hi:g}")
     return tuple(float(r) for r in np.logspace(np.log10(lo), np.log10(hi), count))
 
 
@@ -133,33 +135,19 @@ def mc_run(
         raise ParameterError(f"need at least 2 replications, got {replications}")
     m_grid = tuple(sorted({int(m) for m in m_grid}))
     rho_grid = tuple(sorted({float(r) for r in (rho_grid or default_rho_grid())}))
-    if not m_grid or not rho_grid:
-        raise ParameterError("candidate grids must be nonempty")
-    if m_grid[0] < 1:
-        raise ParameterError("cutoff candidates must be >= 1")
-    if rho_grid[0] <= 0.0:
-        raise ParameterError("ridge candidates must be positive")
+    if not m_grid or m_grid[0] < 1:
+        raise ParameterError(f"cutoff candidates must be nonempty and >= 1, got {m_grid}")
+    if not all(0.0 < rho < math.inf for rho in rho_grid):
+        raise ParameterError(f"ridge candidates must be finite and positive, got {rho_grid}")
 
     truth = truth_bundle(config)
     target = truth.slope.values
-    p = config.p
 
-    def worker(r: int):
-        data, _ = draw_dataset(config.child(r))
+    def worker(r: int) -> tuple[np.ndarray, np.ndarray]:
+        data, _ = draw_dataset(config.child(r), truth)
         moments = compute_moments(data)
-        spectrum = eigendecompose(moments.cov)
-        pca_slopes: dict[int, np.ndarray] = {}
-        failed: list[int] = []
-        for m in m_grid:
-            try:
-                pca_slopes[m] = pca_fit(moments, m, spectrum=spectrum).slope.values
-            except RankError:
-                failed.append(m)
-        ridge_slopes = {
-            rho: ridge_fit(moments, rho).slope.values
-            for rho in rho_grid
-        }
-        return pca_slopes, ridge_slopes, failed
+        spectrum, g = eigendecompose(moments.cov), moments.cross_cov
+        return cutoff_path(spectrum, g, m_grid[-1]), ridge_path(spectrum, g, rho_grid)
 
     if threads <= 1:
         slots = [worker(r) for r in range(replications)]
@@ -167,24 +155,21 @@ def mc_run(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             slots = list(pool.map(worker, range(replications)))
 
-    excluded = tuple(sorted({m for _, _, failed in slots for m in failed}))
-    valid_m = [m for m in m_grid if m not in excluded]
+    # A cutoff beyond the usable rank of any replication is excluded.
+    rank = min(len(cut) for cut, _ in slots)
+    valid_m = [m for m in m_grid if m <= rank]
     if not valid_m:
         raise RankError("every cutoff candidate exceeded the usable rank")
-
-    pca_errors: dict[int, tuple[float, float, float]] = {}
-    for m in valid_m:
-        stack = np.stack([slots[r][0][m] for r in range(replications)])
-        bias2, var = integrated_bias_var(stack, target, p)
-        pca_errors[m] = (bias2, var, bias2 + var)
-    ridge_errors: dict[float, tuple[float, float, float]] = {}
-    for rho in rho_grid:
-        stack = np.stack([slots[r][1][rho] for r in range(replications)])
-        bias2, var = integrated_bias_var(stack, target, p)
-        ridge_errors[rho] = (bias2, var, bias2 + var)
-
-    m_star = _best_m({m: e[2] for m, e in pca_errors.items()})
-    rho_star = _best_rho({rho: e[2] for rho, e in ridge_errors.items()})
+    cuts = np.stack([cut[:rank] for cut, _ in slots])  # (R, rank, p)
+    ridges = np.stack([ridge for _, ridge in slots])  # (R, K, p)
+    pca_errors = {m: integrated_bias_var(cuts[:, m - 1], target, config.p) for m in valid_m}
+    ridge_errors = {
+        rho: integrated_bias_var(ridges[:, i], target, config.p)
+        for i, rho in enumerate(rho_grid)
+    }
+    pca_mise = {m: bias2 + var for m, (bias2, var) in pca_errors.items()}
+    ridge_mise = {rho: bias2 + var for rho, (bias2, var) in ridge_errors.items()}
+    m_star, rho_star = _best_m(pca_mise), _best_rho(ridge_mise)
 
     return McResult(
         config=config,
@@ -195,11 +180,11 @@ def mc_run(
         bias2_ridge=ridge_errors[rho_star][0],
         var_pca=pca_errors[m_star][1],
         var_ridge=ridge_errors[rho_star][1],
-        mise_pca=pca_errors[m_star][2],
-        mise_ridge=ridge_errors[rho_star][2],
-        m_profile=tuple((m, pca_errors[m][2]) for m in valid_m),
-        rho_profile=tuple((rho, ridge_errors[rho][2]) for rho in rho_grid),
-        excluded_m=excluded,
+        mise_pca=pca_mise[m_star],
+        mise_ridge=ridge_mise[rho_star],
+        m_profile=tuple(pca_mise.items()),
+        rho_profile=tuple(ridge_mise.items()),
+        excluded_m=tuple(m for m in m_grid if m > rank),
     )
 
 
@@ -216,7 +201,10 @@ class RateFit:
 
 
 def theoretical_rate_slope(alpha: float, beta: float) -> float:
-    """Log-log slope predicted by the minimax convergence rate."""
+    """Log-log slope predicted by the minimax convergence rate, a decay
+    for finite alpha > 0 and beta > 1/2."""
+    if not (0.0 < alpha < math.inf and 0.5 < beta < math.inf):
+        raise ParameterError(f"need finite alpha > 0 and beta > 1/2, got {alpha:g}, {beta:g}")
     return -(2.0 * beta - 1.0) / (alpha + 2.0 * beta)
 
 

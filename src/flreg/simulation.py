@@ -171,10 +171,11 @@ def gamma_sequence(spacing: str, alpha: float, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TruthBundle:
     """Everything the data-generating process knows: true slope, score
-    scales, covariance kernel and its sorted eigenvalues."""
+    scales, basis, covariance kernel and its sorted eigenvalues."""
 
     slope: GridFunction
     gamma: np.ndarray  # (J,) in basis order
+    basis: np.ndarray  # (J, p) basis functions on the grid
     kernel: SymmetricKernel
     eigenvalues: np.ndarray  # gamma**2 sorted nonincreasing
     eigen_order: np.ndarray  # 0-based basis index of each sorted eigenvalue
@@ -193,23 +194,26 @@ def truth_bundle(config: SimConfig) -> TruthBundle:
     return TruthBundle(
         slope=true_slope(grid, config.n_terms),
         gamma=gamma,
+        basis=B,
         kernel=SymmetricKernel(grid, kernel),
         eigenvalues=kappa[order],
         eigen_order=order,
     )
 
 
-def draw_dataset(config: SimConfig) -> tuple[Dataset, TruthBundle]:
-    """Draw one dataset from the scenario, fully determined by config.seed."""
-    truth = truth_bundle(config)
-    grid = config.grid
+def draw_dataset(
+    config: SimConfig, truth: TruthBundle | None = None
+) -> tuple[Dataset, TruthBundle]:
+    """Draw one dataset from the scenario, fully determined by config.seed.
+    ``truth``, if given, is ``truth_bundle`` of a config equal but for the seed."""
+    if truth is None:
+        truth = truth_bundle(config)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     scores = rng.uniform(-SQRT3, SQRT3, size=(config.n, config.n_terms))
     noise = config.sigma_eps * rng.standard_normal(config.n)
-    B = basis_matrix(grid, config.n_terms)
-    xmat = np.einsum("nj,jp->np", scores * truth.gamma, B)
+    xmat = np.einsum("nj,jp->np", scores * truth.gamma, truth.basis)
     y = np.einsum("np,p->n", xmat, truth.slope.values) / config.p + noise
-    return Dataset(grid=grid, X=xmat, Y=y), truth
+    return Dataset(grid=config.grid, X=xmat, Y=y), truth
 
 
 _METADATA_RE = re.compile(r"^# grid=midpoint p=(\d+)$")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionMismatchError, ParameterError
-from .grid import Grid, GridFunction, SymmetricKernel
+from .grid import Grid, SymmetricKernel
 
 __all__ = [
     "EigenSystem",
@@ -74,10 +74,6 @@ class EigenSystem:
     def null_mask(self) -> np.ndarray:
         """True where an eigenvalue is numerically null."""
         return self.eigenvalues < NULL_RTOL * max(float(self.eigenvalues[0]), 1.0)
-
-    def eigenfunction(self, index: int) -> GridFunction:
-        """Eigenfunction at 0-based position ``index`` (0 = leading)."""
-        return GridFunction(self.grid, self.vectors[:, index])
 
 
 def eigendecompose(kernel: SymmetricKernel) -> EigenSystem:

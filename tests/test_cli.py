@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,28 @@ class TestPredictThreads:
         assert outputs[0] == outputs[1]
 
 
+class TestMcTableThreads:
+    def test_mc_table_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # The cutoff and ridge paths use BLAS products; the tables and
+        # profiles must not depend on how many threads BLAS runs.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flreg.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out, prof = tmp_path / f"t{threads}.tsv", tmp_path / f"p{threads}.tsv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "flreg", "mc-table", "--spacing", "closely",
+                 "--sigma", "0.5", "--n", "20,100", "--alpha", "2", "--reps", "6",
+                 "--seed", "7", "--threads", "2", "--out", str(out), "--profile", str(prof)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append((out.read_bytes(), prof.read_bytes()))
+        assert len(outputs[0][0].splitlines()) == 3
+        assert b"# excluded m: 20" in outputs[0][1]
+        assert outputs[0] == outputs[1]
+
+
 class TestBatchCommands:
     def test_mc_table_smoke_and_determinism(self, tmp_path):
         argv = ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40",
@@ -215,6 +238,29 @@ class TestBatchCommands:
         assert len(lines) == 1 + 6  # both estimators, three sizes each
         assert lines[1].split("\t")[-1] == f"{-0.5:.17g}"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--rho-max", "inf"), ("--rho-max", "nan"), ("--rho-min", "nan"), ("--rho-max", "1e999"),
+    ])
+    def test_mc_table_rejects_non_finite_rho_range(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "t.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+            assert run(["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40",
+                        "--alpha", "2", "--reps", "4", "--threads", "1", flag, value,
+                        "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("flreg: invalid rho grid") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha,beta", [("2", "nan"), ("2", "0.4"), ("2", "inf")])
+    def test_rate_check_rejects_meaningless_exponent(self, tmp_path, capsys, alpha, beta):
+        out = tmp_path / "rate.tsv"
+        assert run(["rate-check", "--alpha", alpha, "--beta", beta, "--n", "20,30,40",
+                    "--reps", "3", "--threads", "1", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "beta > 1/2" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_diagnose_smoke(self, tmp_path):
         out = tmp_path / "diag.tsv"
         assert run(["diagnose", "--n", "100", "--alpha", "2", "--spacing", "well",
@@ -222,3 +268,33 @@ class TestBatchCommands:
         lines = read(out).strip().split("\n")
         assert lines[0].startswith("# hs_gap=")
         assert len(lines) == 2 + 4
+
+
+class TestScripts:
+    # The experiment scripts are thin wrappers: their output is the CLI's.
+    SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
+
+    def script(self, name, *args):
+        return subprocess.run(
+            [sys.executable, os.path.join(self.SCRIPTS, name), *args],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+
+    def test_reproduce_tables_wraps_mc_table(self, tmp_path):
+        stdout = self.script("reproduce_tables.py", "--reps", "3", "--sigma", "0.5",
+                             "--n", "30", "--alpha", "2", "--threads", "1",
+                             "--out-dir", str(tmp_path / "res"))
+        for design in ("well", "closely"):
+            table, prof = tmp_path / f"{design}.txt", tmp_path / f"{design}.tsv"
+            assert run(["mc-table", "--spacing", design, "--sigma", "0.5", "--n", "30",
+                        "--alpha", "2", "--reps", "3", "--seed", "7", "--threads", "1",
+                        "--format", "text", "--out", str(table), "--profile", str(prof)]) == 0
+            assert f"== {design} ==\n{read(table)}" in stdout
+            assert read(tmp_path / "res" / f"profile_{design}.tsv") == read(prof)
+
+    def test_rate_study_wraps_rate_check(self, tmp_path):
+        out = tmp_path / "rate.tsv"
+        assert run(["rate-check", "--alpha", "2", "--beta", "2", "--n", "30,60,120",
+                    "--reps", "3", "--seed", "7", "--threads", "1", "--out", str(out)]) == 0
+        assert self.script("rate_study.py", "--n", "30,60,120", "--reps", "3",
+                           "--threads", "1") == read(out)

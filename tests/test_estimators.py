@@ -31,7 +31,8 @@ from flreg import (
     truth_bundle,
     usable_rank,
 )
-from flreg.estimators import model_from_text, model_to_text
+from flreg.estimators import cutoff_path, model_from_text, model_to_text, ridge_path
+from flreg.evaluation import DEFAULT_M_GRID, default_rho_grid
 from flreg.simulation import basis
 
 GRID = Grid(50)
@@ -163,14 +164,11 @@ class TestPcaFit:
             )[0]
         )
         spectrum = eigendecompose(moments.cov)
+        coords = moments.cross_cov.values @ spectrum.vectors / GRID.p
         for m in (1, 3, 7):
             lo = pca_fit(moments, m, spectrum=spectrum).slope.values
             hi = pca_fit(moments, m + 1, spectrum=spectrum).slope.values
-            coef = (
-                float(np.dot(spectrum.vectors[:, m], moments.cross_cov.values))
-                / GRID.p
-                / spectrum.eigenvalues[m]
-            )
+            coef = coords[m] / spectrum.eigenvalues[m]
             np.testing.assert_array_equal(hi, lo + coef * spectrum.vectors[:, m])
 
 
@@ -225,6 +223,54 @@ class TestRidgeFit:
             for rho in np.logspace(-6, 1, 15)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+class TestPathKernels:
+    # The all-candidate kernels against the per-candidate routes: pca_fit is
+    # a row of the cutoff path, and the dense solve is the ridge oracle.
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    @pytest.mark.parametrize("n", [5, 60, 500])
+    def test_rows_match_single_fits(self, spacing, n):
+        data, _ = draw_dataset(
+            SimConfig(n=n, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=40 + n)
+        )
+        moments = compute_moments(data)
+        spectrum = eigendecompose(moments.cov)
+        m_max = max(DEFAULT_M_GRID)
+        cut = cutoff_path(spectrum, moments.cross_cov, m_max)
+        assert len(cut) == min(m_max, usable_rank(spectrum))
+        if n == 5:  # five centred curves span at most four directions
+            assert len(cut) <= 4
+        for m in DEFAULT_M_GRID:
+            if m <= len(cut):
+                fit = pca_fit(moments, m, spectrum=spectrum).slope.values
+                np.testing.assert_array_equal(cut[m - 1], fit)
+            else:
+                with pytest.raises(RankError):
+                    pca_fit(moments, m, spectrum=spectrum)
+
+        # Both ridge routes are backward stable, so they agree to a small
+        # multiple of cond(cov / p + rho I) * machine epsilon.
+        rhos = default_rho_grid()
+        path = ridge_path(spectrum, moments.cross_cov, rhos)
+        assert path.shape == (len(rhos), GRID.p)
+        vals = spectrum.eigenvalues
+        for row, rho in zip(path, rhos):
+            dense = ridge_fit(moments, rho).slope.values
+            cond = (vals[0] + rho) / (max(vals[-1], 0.0) + rho)
+            gap = np.linalg.norm(row - dense) / np.linalg.norm(dense)
+            assert gap <= 32 * cond * np.finfo(float).eps
+            if n >= 60:
+                assert gap <= 1e-10
+
+    def test_ridge_path_rejects_bad_rho(self):
+        moments = random_psd_moments(3)
+        spectrum = eigendecompose(moments.cov)
+        for rho in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                ridge_path(spectrum, moments.cross_cov, (1e-2, rho))
+            with pytest.raises(ParameterError):
+                ridge_filter_slope(spectrum, moments.cross_cov, rho)
 
 
 class TestSignInvariance:

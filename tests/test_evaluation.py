@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -6,9 +7,15 @@ import pytest
 from flreg import (
     McResult,
     ParameterError,
+    RankError,
     SimConfig,
+    compute_moments,
+    draw_dataset,
+    eigendecompose,
     mc_run,
+    pca_fit,
     rate_fit,
+    ridge_fit,
 )
 from flreg.evaluation import (
     DEFAULT_M_GRID,
@@ -84,8 +91,48 @@ class TestMcRun:
             mc_run(SMALL, 4, m_grid=())
         with pytest.raises(ParameterError):
             mc_run(SMALL, 4, m_grid=(0, 1))
-        with pytest.raises(ParameterError):
-            mc_run(SMALL, 4, rho_grid=(0.0, 0.1))
+        for rho in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                mc_run(SMALL, 4, rho_grid=(1e-2, rho))
+
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    @pytest.mark.parametrize("seed,n", [(1, 20), (2, 60), (3, 100)])
+    def test_matches_per_candidate_fits(self, spacing, seed, n):
+        # Reference: one pca_fit per cutoff and one dense ridge_fit per rho in
+        # every replication, reduced in replication order with the same ties.
+        config = SimConfig(n=n, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=seed)
+        reps, rhos = 6, default_rho_grid()
+        pca = {m: [] for m in DEFAULT_M_GRID}
+        ridge = {rho: [] for rho in rhos}
+        excluded = set()
+        for r in range(reps):
+            moments = compute_moments(draw_dataset(config.child(r))[0])
+            spectrum = eigendecompose(moments.cov)
+            for m in DEFAULT_M_GRID:
+                try:
+                    pca[m].append(pca_fit(moments, m, spectrum=spectrum).slope.values)
+                except RankError:
+                    excluded.add(m)
+            for rho in rhos:
+                ridge[rho].append(ridge_fit(moments, rho).slope.values)
+        target = draw_dataset(config)[1].slope.values
+
+        def mise(slopes):
+            return sum(integrated_bias_var(np.stack(slopes), target, config.p))
+
+        m_profile = {m: mise(v) for m, v in pca.items() if m not in excluded}
+        rho_profile = {rho: mise(v) for rho, v in ridge.items()}
+
+        result = mc_run(config, reps, threads=2)
+        assert result.excluded_m == tuple(sorted(excluded))
+        assert result.m_star == _best_m(m_profile)
+        assert result.rho_star == _best_rho(rho_profile)
+        for got, want in ((result.m_profile, m_profile), (result.rho_profile, rho_profile)):
+            assert [c for c, _ in got] == list(want)
+            for c, value in got:
+                assert value == pytest.approx(want[c], rel=1e-9)
+        if n == 20:  # twenty centred curves span at most nineteen directions
+            assert 20 in result.excluded_m
 
     @pytest.mark.parametrize("n,m_star", [(100, 1), (500, 5)])
     def test_restricted_cutoff_grid_reproduces_reference_closely_spaced_cells(
@@ -162,6 +209,11 @@ class TestRateFit:
             rate_fit(2.0, 2.0, (100, 100, 200), [small_result] * 3)
         with pytest.raises(ParameterError):
             rate_fit(2.0, 2.0, (100, 200, 400), [small_result] * 3, estimator="spline")
+        # the minimax exponent -(2 beta - 1) / (alpha + 2 beta) must be a decay
+        for alpha, beta in ((2.0, math.nan), (2.0, 0.4), (2.0, 0.5), (2.0, math.inf),
+                            (0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0)):
+            with pytest.raises(ParameterError):
+                rate_fit(alpha, beta, (100, 200, 400), [small_result] * 3)
 
 
 class TestTableSerialization:
@@ -224,3 +276,9 @@ class TestDefaultGrids:
         assert grid[0] == pytest.approx(1e-6)
         assert grid[-1] == pytest.approx(1.0)
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    def test_default_rho_grid_rejects_non_finite_ends(self):
+        for lo, hi in ((1e-6, math.inf), (1e-6, math.nan), (math.nan, 1.0),
+                       (-math.inf, 1.0), (0.0, 1.0), (1.0, 1e-6)):
+            with pytest.raises(ParameterError):
+                default_rho_grid(25, lo, hi)
