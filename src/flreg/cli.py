@@ -6,8 +6,9 @@ Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
 Exit codes: 0 success, 2 usage, 3 data format, 4 numeric/precondition,
-5 I/O.  File outputs are written to a temporary file and atomically
-renamed, so a failing run never leaves a partial output behind.
+5 I/O.  File outputs are written to temporary files and atomically
+renamed, so a failing run never leaves a partial output behind; a command
+with two outputs (mc-table --out --profile) writes both or neither.
 """
 
 from __future__ import annotations
@@ -86,16 +87,25 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flreg-", suffix=".tmp")
+def _write_files(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text), or none of them if any write fails: every
+    text goes to a temporary file first, and only then are they renamed."""
+    staged: list[str] = []
+    renamed: list[str] = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flreg-", suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for tmp, (path, _) in zip(staged, outputs):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path in staged + renamed:
+            if os.path.exists(path):
+                os.unlink(path)
         raise
 
 
@@ -103,7 +113,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(out, text)
+        _write_files([(out, text)])
 
 
 def _read_text(path: str) -> str:
@@ -172,9 +182,13 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
                 results.append(
                     mc_run(config, args.reps, m_grid, rho_grid, threads=args.threads)
                 )
-    _emit(emit_table(results, fmt=args.format), args.out)
+    table = emit_table(results, fmt=args.format)
+    files = [] if args.out is None else [(args.out, table)]
     if args.profile is not None:
-        _write_atomic(args.profile, emit_profile(results))
+        files.append((args.profile, emit_profile(results)))
+    _write_files(files)
+    if args.out is None:
+        sys.stdout.write(table)
     excluded = [(r.config, r.excluded_m) for r in results if r.excluded_m]
     for config, ms in excluded:
         print(

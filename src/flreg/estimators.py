@@ -2,18 +2,24 @@
 
 Given pairs (X_i, Y_i) with functional covariates, the centred second
 moments are the empirical covariance kernel and the empirical
-cross-covariance function.  Both slope estimators filter the coordinates
-<cross_cov, v_j> of one ``EigenSystem``, and one array kernel each gives
-every candidate at once:
+cross-covariance function; ``moment_arrays`` computes them with BLAS
+(``syrk`` for the covariance, so it is exactly symmetric, and ``gemv`` for
+the cross-covariance).  Both slope estimators filter the coordinates
+<cross_cov, v_j> of an eigendecomposition, and one array kernel each gives
+every candidate at once, for a whole (B, ...) stack of datasets:
 
 * ``cutoff_path`` (spectral cutoff, smoothing parameter m) sums
   <cross_cov, v_j> / eigenvalue_j * v_j over j <= m by one cumulative sum,
-  so the estimates are exactly nested in m; ``pca_fit`` is one of its rows.
+  so the estimates are exactly nested in m; ``pca_fit`` is one of its rows
+  on a stack of one.
 * ``ridge_path`` (Tikhonov ridge, smoothing parameter rho) weights all p
-  eigenpairs by 1 / (eigenvalue_j + rho) in one matrix product;
+  eigenpairs by 1 / (eigenvalue_j + rho) in one batched matrix product;
   ``ridge_filter_slope`` is one row.  ``ridge_fit`` instead solves
   (cov + rho * identity) slope = cross_cov densely: the single-fit route,
   and the oracle the spectral filter is checked against.
+
+The kernels apply the same operations to every matrix of a stack, so a
+dataset's estimates do not depend on which stack it was solved in.
 
 The intercept is always the average of Y_i minus the fitted functional
 term, which for centred moments reduces to y_mean - <slope, x_mean>.
@@ -40,6 +46,7 @@ __all__ = [
     "Dataset",
     "CenteredMoments",
     "FittedModel",
+    "moment_arrays",
     "compute_moments",
     "usable_rank",
     "cutoff_path",
@@ -111,20 +118,29 @@ class FittedModel:
     parameter: float  # the cutoff m (as a float) or the ridge rho
 
 
-def compute_moments(data: Dataset) -> CenteredMoments:
-    """Empirical means, covariance kernel and cross-covariance function.
+def moment_arrays(
+    X: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Means, (p, p) covariance and (p,) cross-covariance of an (n, p)
+    covariate matrix and its n responses.
 
-    The covariance is accumulated from centred outer products (einsum with a
-    fixed reduction order), which keeps it exactly symmetric and makes the
-    result independent of BLAS threading.
+    ``xc.T @ xc`` goes to BLAS ``syrk``, which computes one triangle and
+    mirrors it, so the covariance is exactly symmetric; ``yc @ xc`` is a
+    ``gemv``.  BLAS threads divide the outputs of both, not the sums over
+    observations, so the bits do not depend on the BLAS thread count.
     """
-    n, p = data.n, data.grid.p
-    x_mean = np.mean(data.X, axis=0)
-    y_mean = float(np.mean(data.Y))
-    xc = data.X - x_mean
-    yc = data.Y - y_mean
-    cov = np.einsum("ni,nj->ij", xc, xc) / n
-    cross = np.einsum("ni,n->i", xc, yc) / n
+    n = X.shape[0]
+    x_mean = np.mean(X, axis=0)
+    y_mean = float(np.mean(Y))
+    xc = X - x_mean
+    yc = Y - y_mean
+    return x_mean, y_mean, xc.T @ xc / n, yc @ xc / n
+
+
+def compute_moments(data: Dataset) -> CenteredMoments:
+    """Empirical means, covariance kernel and cross-covariance function of
+    a dataset: ``moment_arrays`` wrapped in grid types."""
+    x_mean, y_mean, cov, cross = moment_arrays(data.X, data.Y)
     return CenteredMoments(
         x_mean=GridFunction(data.grid, x_mean),
         y_mean=y_mean,
@@ -133,50 +149,67 @@ def compute_moments(data: Dataset) -> CenteredMoments:
     )
 
 
+def _usable_ranks(vals: np.ndarray) -> np.ndarray:
+    """Per row of the (B, p) nonincreasing eigenvalues, the number of leading
+    eigenvalues safely above the numerical-null cutoff."""
+    top = vals[:, :1]
+    return np.where(top[:, 0] > 0.0, np.sum(vals > PCA_RANK_RTOL * top, axis=1), 0)
+
+
 def usable_rank(spectrum: EigenSystem) -> int:
     """Number of leading eigenvalues safely above the numerical-null cutoff."""
-    top = float(spectrum.eigenvalues[0])
-    if top <= 0.0:
-        return 0
-    return int(np.sum(spectrum.eigenvalues > PCA_RANK_RTOL * top))
+    return int(_usable_ranks(spectrum.eigenvalues[None])[0])
 
 
 def _intercept_from_moments(slope: GridFunction, moments: CenteredMoments) -> float:
     return moments.y_mean - inner_product(slope, moments.x_mean)
 
 
-def _eigen_coords(spectrum: EigenSystem, cross_cov: GridFunction) -> np.ndarray:
-    """Quadrature inner products <cross_cov, v_j> for all p eigenfunctions."""
-    if spectrum.grid != cross_cov.grid:
-        raise DimensionMismatchError("spectrum and cross-covariance grids differ")
-    return cross_cov.values @ spectrum.vectors / spectrum.grid.p
+def _eigen_coords(vecs: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Quadrature inner products <cross_b, v_bj>, as (B, p), of each of the
+    B cross-covariances with all p eigenfunctions of its own stack entry."""
+    return (cross[:, None, :] @ vecs)[:, 0] / vecs.shape[-1]
 
 
-def cutoff_path(spectrum: EigenSystem, cross_cov: GridFunction, m_max: int) -> np.ndarray:
-    """Spectral-cutoff slopes for m = 1..k as the rows of a (k, p) array,
-    k = min(m_max, usable rank); terms are summed in ascending j."""
-    k = min(m_max, usable_rank(spectrum))
-    coefs = _eigen_coords(spectrum, cross_cov)[:k] / spectrum.eigenvalues[:k]
-    return np.cumsum(coefs[:, None] * spectrum.vectors[:, :k].T, axis=0)
+def cutoff_path(
+    vals: np.ndarray, vecs: np.ndarray, cross: np.ndarray, m_max: int
+) -> np.ndarray:
+    """Spectral-cutoff slopes for m = 1..k as a (B, k, p) array, from a stack
+    of B eigendecompositions (``vals`` (B, p), ``vecs`` (B, p, p), as from
+    ``eigh_stack``) and their (B, p) cross-covariances.  k = min(m_max,
+    smallest usable rank in the stack); terms are summed in ascending j."""
+    k = min(m_max, int(np.min(_usable_ranks(vals))))
+    coefs = _eigen_coords(vecs, cross)[:, :k] / vals[:, :k]
+    return np.cumsum(coefs[:, :, None] * np.swapaxes(vecs[:, :, :k], 1, 2), axis=1)
 
 
 def ridge_path(
-    spectrum: EigenSystem, cross_cov: GridFunction, rhos: tuple[float, ...]
+    vals: np.ndarray, vecs: np.ndarray, cross: np.ndarray, rhos: tuple[float, ...]
 ) -> np.ndarray:
-    """Ridge slopes for each finite, positive rho in ``rhos``, as (K, p)."""
+    """Ridge slopes for each finite, positive rho in ``rhos``, as (B, K, p),
+    from the same stacks as ``cutoff_path``."""
     rhos = np.asarray(rhos, dtype=float)
     if not np.all((rhos > 0.0) & (rhos < math.inf)):
         raise ParameterError(f"ridge parameters must be finite and positive, got {rhos}")
-    coords = _eigen_coords(spectrum, cross_cov)
-    return (coords / (spectrum.eigenvalues + rhos[:, None])) @ spectrum.vectors.T
+    coords = _eigen_coords(vecs, cross)[:, None, :]
+    return (coords / (vals[:, None, :] + rhos[:, None])) @ np.swapaxes(vecs, 1, 2)
+
+
+def _stack_of_one(
+    spectrum: EigenSystem, cross_cov: GridFunction
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if spectrum.grid != cross_cov.grid:
+        raise DimensionMismatchError("spectrum and cross-covariance grids differ")
+    return spectrum.eigenvalues[None], spectrum.vectors[None], cross_cov.values[None]
 
 
 def pca_fit(
     moments: CenteredMoments, m: int, spectrum: EigenSystem | None = None
 ) -> FittedModel:
     """Spectral-cutoff slope estimate using the top m empirical eigenpairs,
-    the m-th row of ``cutoff_path``.  A precomputed ``spectrum`` of ``moments.cov``
-    may be passed to avoid repeated eigendecompositions.
+    the m-th row of ``cutoff_path`` on a stack of one.  A precomputed
+    ``spectrum`` of ``moments.cov`` may be passed to avoid repeated
+    eigendecompositions.
     """
     if spectrum is None:
         spectrum = eigendecompose(moments.cov)
@@ -186,7 +219,8 @@ def pca_fit(
             f"cutoff m={m} outside the usable spectral rank; "
             f"largest admissible m is {rank}"
         )
-    slope_fn = GridFunction(moments.grid, cutoff_path(spectrum, moments.cross_cov, m)[-1])
+    path = cutoff_path(*_stack_of_one(spectrum, moments.cross_cov), m)
+    slope_fn = GridFunction(moments.grid, path[0, -1])
     return FittedModel(
         slope=slope_fn,
         intercept=_intercept_from_moments(slope_fn, moments),
@@ -220,7 +254,8 @@ def ridge_filter_slope(
     spectrum: EigenSystem, cross_cov: GridFunction, rho: float
 ) -> GridFunction:
     """Ridge slope via the spectral filter: the row of ``ridge_path`` for rho."""
-    return GridFunction(spectrum.grid, ridge_path(spectrum, cross_cov, (rho,))[0])
+    path = ridge_path(*_stack_of_one(spectrum, cross_cov), (rho,))
+    return GridFunction(spectrum.grid, path[0, 0])
 
 
 def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Monte Carlo benchmark harness for the two slope estimators.
 
 For a simulation scenario, ``mc_run`` builds the truth once and draws R
-replicated datasets (one child seed per replication).  From one
-eigendecomposition per replication, ``cutoff_path`` and ``ridge_path`` give
-the estimates for every candidate m and rho on the same data (common random
-numbers), and it aggregates, per candidate and on the evaluation grid,
+replicated datasets (one child seed per replication, replication r being
+exactly ``draw_dataset(config.child(r))``).  It cuts the replications into
+contiguous chunks of at most ``CHUNK``.  Per chunk it stacks the BLAS
+moments of each replication into a (B, p, p) covariance and a (B, p)
+cross-covariance array, decomposes the whole stack with one
+``eigh_stack`` call, and ``cutoff_path`` and ``ridge_path`` give the
+estimates for every candidate m and rho on the same data (common random
+numbers) by batched matrix products.  The curves themselves are never
+stacked: each (n, p) draw is reduced to its moments and dropped.  It then
+aggregates, per candidate and on the evaluation grid,
 
     Bias^2 = integral of (mean estimate - true slope)^2,
     Var    = mean integral of (estimate - mean estimate)^2,
@@ -15,9 +21,11 @@ The tuning parameters are oracle-chosen: m_star and rho_star minimize the
 Monte Carlo MISE over their grids, ties resolved toward the smaller m and
 the larger rho (more regularisation).
 
-Replications can run on a thread pool; each replication owns its RNG
-stream and writes into its own result slot, and all reductions happen in
-fixed replication order, so results are bit-identical for any thread count.
+With more than one chunk, chunks can run on a thread pool.  Each
+replication owns its RNG stream, every stacked kernel treats each matrix of
+a stack exactly as it would a stack of one, each chunk writes into its own
+slots, and all reductions happen in fixed replication order, so results are
+bit-identical for any thread count and any chunking.
 """
 
 from __future__ import annotations
@@ -29,10 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RankError
-from .estimators import compute_moments, cutoff_path, ridge_path
-from .estimators import pca_fit, ridge_fit  # noqa: F401 (perfbench traces these names)
-from .simulation import SimConfig, draw_dataset, truth_bundle
-from .spectral import eigendecompose
+from .estimators import cutoff_path, moment_arrays, ridge_path
+from .simulation import SimConfig, TruthBundle, draw_xy, truth_bundle
+from .spectral import eigh_stack
+
+# Not called here; perfbench/spans.py patches these names in this module.
+from .estimators import compute_moments, pca_fit, ridge_fit  # noqa: F401
+from .simulation import draw_dataset  # noqa: F401
+from .spectral import eigendecompose  # noqa: F401
 
 __all__ = [
     "McResult",
@@ -49,6 +61,10 @@ __all__ = [
 ]
 
 DEFAULT_M_GRID: tuple[int, ...] = tuple(range(1, 21))
+
+# Replications per stacked chunk.  At p = 50 a chunk's covariance and
+# eigenvector stacks take 1.3 MB each, about 3 MB with the paths, whatever R.
+CHUNK = 64
 
 
 def default_rho_grid(count: int = 25, lo: float = 1e-6, hi: float = 1.0) -> tuple[float, ...]:
@@ -89,16 +105,21 @@ class McResult:
 
 def integrated_bias_var(
     estimates: np.ndarray, target: np.ndarray, p: int
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo integrated squared bias and integrated variance.
 
-    ``estimates`` is an (R, p) stack of slope estimates on the grid;
-    ``target`` is the true slope.  The variance uses the population divisor
-    R, which makes MISE = Bias^2 + Var exact.
+    ``estimates`` is a (C, R, p) stack: for each of C candidates, R slope
+    estimates on the grid; ``target`` is the true slope.  Returns two (C,)
+    arrays.  The variance uses the population divisor R, which makes
+    MISE = Bias^2 + Var exact.  Each candidate is reduced in the same order
+    as an (R, p) array on its own: its mean over R in replication order, its
+    squared deviations summed over the flattened R * p values.
     """
-    mean_est = np.mean(estimates, axis=0)
-    bias2 = float(np.sum((mean_est - target) ** 2)) / p
-    var = float(np.sum((estimates - mean_est) ** 2)) / (estimates.shape[0] * p)
+    c, r = estimates.shape[:2]
+    mean_est = np.mean(estimates, axis=1)
+    bias2 = np.sum((mean_est - target) ** 2, axis=1) / p
+    sq_dev = (estimates - mean_est[:, None, :]) ** 2
+    var = np.sum(sq_dev.reshape(c, r * p), axis=1) / (r * p)
     return bias2, var
 
 
@@ -118,6 +139,21 @@ def _best_rho(profile: dict[float, float]) -> float:
     return best_rho
 
 
+def _replication_moments(
+    config: SimConfig, truth: TruthBundle, reps: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, p, p) covariances and (B, p) cross-covariances of replications
+    ``reps``; entry b is the moments of ``draw_dataset(config.child(r))``
+    for r = reps[b], bit for bit."""
+    covs = np.empty((len(reps), config.p, config.p))
+    cross = np.empty((len(reps), config.p))
+    for b, r in enumerate(reps):
+        _, _, covs[b], cross[b] = moment_arrays(*draw_xy(config.child(r), truth))
+    if not np.all(np.isfinite(cross)):
+        raise ParameterError("replication cross-covariances contain non-finite entries")
+    return covs, cross
+
+
 def mc_run(
     config: SimConfig,
     replications: int,
@@ -129,44 +165,53 @@ def mc_run(
 
     A cutoff candidate that fails the usable-rank precondition in any
     replication is excluded from the search and reported in
-    ``excluded_m``.
+    ``excluded_m``.  With ``threads`` > 1 and more than one chunk, the
+    chunks run on a pool of that many threads.
     """
     if replications < 2:
         raise ParameterError(f"need at least 2 replications, got {replications}")
     m_grid = tuple(sorted({int(m) for m in m_grid}))
-    rho_grid = tuple(sorted({float(r) for r in (rho_grid or default_rho_grid())}))
+    if rho_grid is None:
+        rho_grid = default_rho_grid()
+    rho_grid = tuple(sorted({float(r) for r in rho_grid}))
     if not m_grid or m_grid[0] < 1:
         raise ParameterError(f"cutoff candidates must be nonempty and >= 1, got {m_grid}")
-    if not all(0.0 < rho < math.inf for rho in rho_grid):
-        raise ParameterError(f"ridge candidates must be finite and positive, got {rho_grid}")
+    if not rho_grid or not all(0.0 < rho < math.inf for rho in rho_grid):
+        raise ParameterError(
+            f"ridge candidates must be nonempty, finite and positive, got {rho_grid}"
+        )
 
     truth = truth_bundle(config)
-    target = truth.slope.values
+    target, p = truth.slope.values, config.p
+    # (candidate, replication, p) stacks; chunks fill disjoint replication slots.
+    cuts = np.empty((min(m_grid[-1], p), replications, p))
+    ridges = np.empty((len(rho_grid), replications, p))
 
-    def worker(r: int) -> tuple[np.ndarray, np.ndarray]:
-        data, _ = draw_dataset(config.child(r), truth)
-        moments = compute_moments(data)
-        spectrum, g = eigendecompose(moments.cov), moments.cross_cov
-        return cutoff_path(spectrum, g, m_grid[-1]), ridge_path(spectrum, g, rho_grid)
+    def solve_chunk(start: int) -> int:
+        reps = range(start, min(start + CHUNK, replications))
+        covs, cross = _replication_moments(config, truth, reps)
+        vals, vecs = eigh_stack(covs)
+        cut = cutoff_path(vals, vecs, cross, len(cuts))
+        cuts[: cut.shape[1], start : reps.stop] = np.swapaxes(cut, 0, 1)
+        ridges[:, start : reps.stop] = np.swapaxes(ridge_path(vals, vecs, cross, rho_grid), 0, 1)
+        return cut.shape[1]
 
-    if threads <= 1:
-        slots = [worker(r) for r in range(replications)]
+    starts = range(0, replications, CHUNK)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            ranks = list(pool.map(solve_chunk, starts))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slots = list(pool.map(worker, range(replications)))
+        ranks = [solve_chunk(start) for start in starts]
 
     # A cutoff beyond the usable rank of any replication is excluded.
-    rank = min(len(cut) for cut, _ in slots)
+    rank = min(ranks)
     valid_m = [m for m in m_grid if m <= rank]
     if not valid_m:
         raise RankError("every cutoff candidate exceeded the usable rank")
-    cuts = np.stack([cut[:rank] for cut, _ in slots])  # (R, rank, p)
-    ridges = np.stack([ridge for _, ridge in slots])  # (R, K, p)
-    pca_errors = {m: integrated_bias_var(cuts[:, m - 1], target, config.p) for m in valid_m}
-    ridge_errors = {
-        rho: integrated_bias_var(ridges[:, i], target, config.p)
-        for i, rho in enumerate(rho_grid)
-    }
+    pca_parts = integrated_bias_var(cuts[[m - 1 for m in valid_m]], target, p)
+    ridge_parts = integrated_bias_var(ridges, target, p)
+    pca_errors = {m: (float(b), float(v)) for m, b, v in zip(valid_m, *pca_parts)}
+    ridge_errors = {rho: (float(b), float(v)) for rho, b, v in zip(rho_grid, *ridge_parts)}
     pca_mise = {m: bias2 + var for m, (bias2, var) in pca_errors.items()}
     ridge_mise = {rho: bias2 + var for rho, (bias2, var) in ridge_errors.items()}
     m_star, rho_star = _best_m(pca_mise), _best_rho(ridge_mise)

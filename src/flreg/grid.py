@@ -90,10 +90,17 @@ class SymmetricKernel:
     def __post_init__(self) -> None:
         p = self.grid.p
         arr = _frozen_array(self.values, (p, p), "SymmetricKernel values")
-        scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-        if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
-            raise ParameterError("kernel is not symmetric within tolerance")
+        _require_symmetric(arr)
         object.__setattr__(self, "values", arr)
+
+
+def _require_symmetric(kernels: np.ndarray) -> None:
+    """Raise unless every (p, p) matrix in the (..., p, p) array ``kernels``
+    is symmetric to SYMMETRY_RTOL of its own largest entry."""
+    scale = np.max(np.abs(kernels), axis=(-2, -1))
+    asym = np.max(np.abs(kernels - np.swapaxes(kernels, -2, -1)), axis=(-2, -1))
+    if np.any(asym > SYMMETRY_RTOL * scale):
+        raise ParameterError("kernel is not symmetric within tolerance")
 
 
 def _require_same_grid(a, b) -> None:

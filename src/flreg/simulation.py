@@ -19,7 +19,9 @@ SeedSequence; replication r of a Monte Carlo run uses the child config
 execution order.  Within one dataset the draw order is fixed: the n-by-J
 score matrix is filled observation-major, then the n noise values follow.
 Normal deviates use the generator's native ``standard_normal`` (ziggurat
-method), which is exact in distribution.
+method), which is exact in distribution.  The curves are one BLAS matrix
+product of the scaled scores with the basis (``draw_xy``); the Monte Carlo
+harness and ``draw_dataset`` share that draw.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "true_slope",
     "gamma_sequence",
     "truth_bundle",
+    "draw_xy",
     "draw_dataset",
     "dataset_to_csv",
     "dataset_from_csv",
@@ -118,8 +121,12 @@ def basis(j: int, grid: Grid) -> GridFunction:
 
 
 def basis_matrix(grid: Grid, count: int) -> np.ndarray:
-    """Rows 1..count of the cosine basis evaluated on the grid, as (count, p)."""
-    return np.stack([basis(j, grid).values for j in range(1, count + 1)])
+    """Rows 1..count of the cosine basis evaluated on the grid, as (count, p);
+    row j - 1 equals ``basis(j, grid).values`` bit for bit."""
+    j_minus_1 = np.arange(count, dtype=float)[:, None]
+    out = math.sqrt(2.0) * np.cos(j_minus_1 * math.pi * grid.points)
+    out[0] = 1.0
+    return out
 
 
 def slope_coefficients(n_terms: int) -> np.ndarray:
@@ -201,19 +208,31 @@ def truth_bundle(config: SimConfig) -> TruthBundle:
     )
 
 
-def draw_dataset(
-    config: SimConfig, truth: TruthBundle | None = None
-) -> tuple[Dataset, TruthBundle]:
-    """Draw one dataset from the scenario, fully determined by config.seed.
-    ``truth``, if given, is ``truth_bundle`` of a config equal but for the seed."""
-    if truth is None:
-        truth = truth_bundle(config)
+def draw_xy(config: SimConfig, truth: TruthBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, p) covariate matrix and n responses of the scenario's
+    dataset, fully determined by config.seed.  ``truth`` is ``truth_bundle``
+    of a config equal but for the seed.
+
+    X is one ``gemm`` of the scaled scores with the basis and y one
+    ``gemv``; BLAS threads divide their outputs, not their sums, so the
+    bits do not depend on the BLAS thread count.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     scores = rng.uniform(-SQRT3, SQRT3, size=(config.n, config.n_terms))
     noise = config.sigma_eps * rng.standard_normal(config.n)
-    xmat = np.einsum("nj,jp->np", scores * truth.gamma, truth.basis)
-    y = np.einsum("np,p->n", xmat, truth.slope.values) / config.p + noise
-    return Dataset(grid=config.grid, X=xmat, Y=y), truth
+    X = (scores * truth.gamma) @ truth.basis
+    return X, X @ truth.slope.values / config.p + noise
+
+
+def draw_dataset(
+    config: SimConfig, truth: TruthBundle | None = None
+) -> tuple[Dataset, TruthBundle]:
+    """Draw one dataset from the scenario: ``draw_xy`` as a ``Dataset``.
+    ``truth``, if given, is ``truth_bundle`` of a config equal but for the seed."""
+    if truth is None:
+        truth = truth_bundle(config)
+    X, y = draw_xy(config, truth)
+    return Dataset(grid=config.grid, X=X, Y=y), truth
 
 
 _METADATA_RE = re.compile(r"^# grid=midpoint p=(\d+)$")
@@ -226,8 +245,10 @@ def dataset_to_csv(data: Dataset) -> str:
     p = data.grid.p
     header = ",".join([f"x_{i}" for i in range(1, p + 1)] + ["y"])
     lines = [f"# grid=midpoint p={p}", header]
-    for x, y in zip(data.X, data.Y):
-        lines.append(",".join(f"{v:.17g}" for v in x) + f",{y:.17g}")
+    row_format = ",".join(["%.17g"] * (p + 1))
+    # One row at a time: a whole-matrix tolist() would hold n * p Python floats.
+    for x, y in zip(data.X, data.Y.tolist()):
+        lines.append(row_format % (*x.tolist(), y))
     return "\n".join(lines) + "\n"
 
 

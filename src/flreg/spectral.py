@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionMismatchError, ParameterError
-from .grid import Grid, SymmetricKernel
+from .grid import Grid, SymmetricKernel, _require_symmetric
 
 __all__ = [
     "EigenSystem",
     "PerturbationIndexRow",
     "PerturbationReport",
     "eigendecompose",
+    "eigh_stack",
     "align_signs",
     "perturbation_report",
     "resolvent_identity_residual",
@@ -76,20 +77,39 @@ class EigenSystem:
         return self.eigenvalues < NULL_RTOL * max(float(self.eigenvalues[0]), 1.0)
 
 
+def eigh_stack(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator eigenpairs of a (B, p, p) stack of finite symmetric kernels,
+    from one stacked ``np.linalg.eigh`` call.
+
+    Returns (B, p) eigenvalues, each row sorted nonincreasing, and (B, p, p)
+    eigenvectors, column j of matrix b belonging to eigenvalue j of row b and
+    rescaled by sqrt(p).  The stacked call decomposes each matrix exactly as
+    a call on that matrix alone would, so the batch size never moves a bit.
+    """
+    if not np.all(np.isfinite(kernels)):
+        raise ParameterError("kernel stack contains non-finite entries")
+    _require_symmetric(kernels)
+    p = kernels.shape[-1]
+    vals, vecs = np.linalg.eigh(kernels / p)
+    # eigh returns ascending order; flip to nonincreasing.
+    vals = vals[:, ::-1].copy()
+    vecs = (vecs[:, :, ::-1] * math.sqrt(p)).copy()
+    if np.any(vals[:, :-1] < vals[:, 1:]):
+        raise ParameterError("eigenvalues must be sorted nonincreasing")
+    return vals, vecs
+
+
 def eigendecompose(kernel: SymmetricKernel) -> EigenSystem:
     """Full spectral decomposition of the integral operator of ``kernel``.
 
     Returns all p eigenpairs, eigenvalues sorted nonincreasing, with
     eigenvectors rescaled by sqrt(p) so they are orthonormal under the
     quadrature inner product.  The kernel is reconstructed exactly (to
-    solver accuracy) by sum_j eigenvalue_j * v_j(u) * v_j(v).
+    solver accuracy) by sum_j eigenvalue_j * v_j(u) * v_j(v).  This is
+    ``eigh_stack`` on a batch of one.
     """
-    p = kernel.grid.p
-    vals, vecs = np.linalg.eigh(kernel.values / p)
-    # eigh returns ascending order; flip to nonincreasing.
-    vals = vals[::-1].copy()
-    vecs = (vecs[:, ::-1] * math.sqrt(p)).copy()
-    return EigenSystem(kernel.grid, vals, vecs)
+    vals, vecs = eigh_stack(kernel.values[None])
+    return EigenSystem(kernel.grid, vals[0], vecs[0])
 
 
 def align_signs(system: EigenSystem, reference: EigenSystem) -> EigenSystem:

@@ -45,6 +45,23 @@ class TestSimulate:
         b = simulate(tmp_path, name="b.csv", seed="2")
         assert read(a) != read(b)
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # The curves are a BLAS gemm and the responses a gemv.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flreg.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sim{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "flreg", "simulate", "--n", "2000", "--sigma", "0.5",
+                 "--alpha", "2", "--spacing", "closely", "--seed", "3", "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == 2 + 2000
+        assert outputs[0] == outputs[1]
+
 
 class TestFitPredict:
     def test_end_to_end_ridge(self, tmp_path):
@@ -227,6 +244,13 @@ class TestBatchCommands:
                     "--rho-count", "3", "--threads", "1",
                     "--out", str(out), "--profile", str(prof)]) == 0
         assert read(prof).startswith("candidate\tmise")
+
+    def test_mc_table_failed_profile_leaves_no_table(self, tmp_path):
+        out, prof = tmp_path / "t.tsv", tmp_path / "missing_dir" / "p.tsv"
+        assert run(["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40",
+                    "--alpha", "2", "--reps", "2", "--m-max", "2", "--rho-count", "2",
+                    "--threads", "1", "--out", str(out), "--profile", str(prof)]) == 5
+        assert os.listdir(tmp_path) == []
 
     def test_rate_check_smoke(self, tmp_path):
         out = tmp_path / "rate.tsv"

@@ -34,6 +34,7 @@ from flreg import (
 from flreg.estimators import cutoff_path, model_from_text, model_to_text, ridge_path
 from flreg.evaluation import DEFAULT_M_GRID, default_rho_grid
 from flreg.simulation import basis
+from flreg.spectral import eigh_stack
 
 GRID = Grid(50)
 
@@ -225,6 +226,11 @@ class TestRidgeFit:
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+def stack_of_one(spectrum, moments):
+    """The stacked kernels' arguments for a single dataset."""
+    return spectrum.eigenvalues[None], spectrum.vectors[None], moments.cross_cov.values[None]
+
+
 class TestPathKernels:
     # The all-candidate kernels against the per-candidate routes: pca_fit is
     # a row of the cutoff path, and the dense solve is the ridge oracle.
@@ -236,8 +242,9 @@ class TestPathKernels:
         )
         moments = compute_moments(data)
         spectrum = eigendecompose(moments.cov)
+        stack = stack_of_one(spectrum, moments)
         m_max = max(DEFAULT_M_GRID)
-        cut = cutoff_path(spectrum, moments.cross_cov, m_max)
+        cut = cutoff_path(*stack, m_max)[0]
         assert len(cut) == min(m_max, usable_rank(spectrum))
         if n == 5:  # five centred curves span at most four directions
             assert len(cut) <= 4
@@ -252,7 +259,7 @@ class TestPathKernels:
         # Both ridge routes are backward stable, so they agree to a small
         # multiple of cond(cov / p + rho I) * machine epsilon.
         rhos = default_rho_grid()
-        path = ridge_path(spectrum, moments.cross_cov, rhos)
+        path = ridge_path(*stack, rhos)[0]
         assert path.shape == (len(rhos), GRID.p)
         vals = spectrum.eigenvalues
         for row, rho in zip(path, rhos):
@@ -263,12 +270,31 @@ class TestPathKernels:
             if n >= 60:
                 assert gap <= 1e-10
 
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    def test_stack_entries_equal_stacks_of_one(self, spacing):
+        # The batch a dataset is solved in must not move a bit of its
+        # eigenpairs or of its cutoff and ridge paths.
+        config = SimConfig(n=60, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=9)
+        moments = [compute_moments(draw_dataset(config.child(r))[0]) for r in range(5)]
+        covs = np.stack([mo.cov.values for mo in moments])
+        cross = np.stack([mo.cross_cov.values for mo in moments])
+        vals, vecs = eigh_stack(covs)
+        cut = cutoff_path(vals, vecs, cross, 20)
+        ridge = ridge_path(vals, vecs, cross, default_rho_grid())
+        for b, mo in enumerate(moments):
+            spectrum = eigendecompose(mo.cov)
+            np.testing.assert_array_equal(vals[b], spectrum.eigenvalues)
+            np.testing.assert_array_equal(vecs[b], spectrum.vectors)
+            one = stack_of_one(spectrum, mo)
+            np.testing.assert_array_equal(cut[b], cutoff_path(*one, cut.shape[1])[0])
+            np.testing.assert_array_equal(ridge[b], ridge_path(*one, default_rho_grid())[0])
+
     def test_ridge_path_rejects_bad_rho(self):
         moments = random_psd_moments(3)
         spectrum = eigendecompose(moments.cov)
         for rho in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ParameterError):
-                ridge_path(spectrum, moments.cross_cov, (1e-2, rho))
+                ridge_path(*stack_of_one(spectrum, moments), (1e-2, rho))
             with pytest.raises(ParameterError):
                 ridge_filter_slope(spectrum, moments.cross_cov, rho)
 

@@ -17,10 +17,12 @@ from flreg import (
     rate_fit,
     ridge_fit,
 )
+from flreg import evaluation
 from flreg.evaluation import (
     DEFAULT_M_GRID,
     _best_m,
     _best_rho,
+    _replication_moments,
     default_rho_grid,
     emit_profile,
     emit_table,
@@ -28,6 +30,7 @@ from flreg.evaluation import (
     parse_table,
     theoretical_rate_slope,
 )
+from flreg.simulation import truth_bundle
 
 SMALL = SimConfig(n=60, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=17)
 
@@ -42,9 +45,19 @@ class TestIntegratedBiasVar:
         rng = np.random.default_rng(0)
         est = rng.standard_normal(50)
         stack = np.stack([est, est])
-        bias2, var = integrated_bias_var(stack, np.zeros(50), 50)
+        [bias2], [var] = integrated_bias_var(stack[None], np.zeros(50), 50)
         assert var == 0.0
         assert bias2 == pytest.approx(float(np.mean(est**2)))
+
+    def test_stack_keeps_each_candidates_reduction_order(self):
+        # Reference: one (R, p) candidate at a time, reduced whole.
+        rng = np.random.default_rng(4)
+        stack, target = rng.standard_normal((7, 150, 50)), rng.standard_normal(50)
+        bias2, var = integrated_bias_var(stack, target, 50)
+        for c, estimates in enumerate(stack):
+            mean = np.mean(estimates, axis=0)
+            assert bias2[c] == float(np.sum((mean - target) ** 2)) / 50
+            assert var[c] == float(np.sum((estimates - mean) ** 2)) / (150 * 50)
 
     def test_identity_holds_by_construction(self, small_result):
         for profile, bias2, var, mise in (
@@ -94,6 +107,35 @@ class TestMcRun:
         for rho in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(ParameterError):
                 mc_run(SMALL, 4, rho_grid=(1e-2, rho))
+        with pytest.raises(ParameterError):  # empty is not "use the default"
+            mc_run(SMALL, 4, m_grid=(1,), rho_grid=())
+
+    def test_replication_moments_are_the_datasets_moments(self):
+        config = SimConfig(n=30, sigma_eps=0.5, alpha=2.0, spacing="closely_spaced", seed=11)
+        reps = range(61, 67)
+        covs, cross = _replication_moments(config, truth_bundle(config), reps)
+        for b, r in enumerate(reps):
+            moments = compute_moments(draw_dataset(config.child(r))[0])
+            np.testing.assert_array_equal(covs[b], moments.cov.values)
+            np.testing.assert_array_equal(cross[b], moments.cross_cov.values)
+
+    def test_chunking_and_threads_do_not_change_bytes(self, monkeypatch):
+        # R = 150 is three chunks of at most 64; the bytes must not depend on
+        # the thread count or on where the chunk boundaries fall.
+        config = SimConfig(n=15, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=8)
+
+        def text(threads):
+            result = mc_run(config, 150, threads=threads)
+            return emit_table([result]) + emit_profile([result])
+
+        reference = text(1)
+        # fifteen centred curves span at most fourteen directions
+        assert "# excluded m: 15,16,17,18,19,20\n" in reference
+        for threads in (2, 3):
+            assert text(threads) == reference
+        for chunk in (1, 7, 150):
+            monkeypatch.setattr(evaluation, "CHUNK", chunk)
+            assert text(2) == reference
 
     @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
     @pytest.mark.parametrize("seed,n", [(1, 20), (2, 60), (3, 100)])
@@ -118,7 +160,8 @@ class TestMcRun:
         target = draw_dataset(config)[1].slope.values
 
         def mise(slopes):
-            return sum(integrated_bias_var(np.stack(slopes), target, config.p))
+            [bias2], [var] = integrated_bias_var(np.stack(slopes)[None], target, config.p)
+            return bias2 + var
 
         m_profile = {m: mise(v) for m, v in pca.items() if m not in excluded}
         rho_profile = {rho: mise(v) for rho, v in ridge.items()}

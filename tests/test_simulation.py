@@ -5,6 +5,7 @@ import pytest
 
 from flreg import (
     DataFormatError,
+    Dataset,
     Grid,
     ParameterError,
     SimConfig,
@@ -40,6 +41,12 @@ class TestBasis:
         B = basis_matrix(GRID, 50)
         gram = B @ B.T / GRID.p
         assert np.max(np.abs(gram - np.eye(50))) <= 1e-10
+
+    @pytest.mark.parametrize("p,count", [(2, 1), (2, 2), (7, 4), (50, 50), (101, 60)])
+    def test_matrix_rows_are_the_basis_functions(self, p, count):
+        grid = Grid(p)
+        per_row = np.stack([basis(j, grid).values for j in range(1, count + 1)])
+        np.testing.assert_array_equal(basis_matrix(grid, count), per_row)
 
     def test_out_of_range_index(self):
         with pytest.raises(ParameterError):
@@ -197,6 +204,16 @@ class TestDatasetCsv:
         assert np.array_equal(Y, data.Y)
         assert X.shape == (5, 50)
         assert np.array_equal(X, data.X)
+
+    def test_cells_are_17_significant_digits(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((4, 50)) * 10.0 ** rng.integers(-300, 300, (4, 50))
+        X[0, :6] = (0.1, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 2.0**60)
+        data = Dataset(GRID, X, rng.standard_normal(4))
+        rows = dataset_to_csv(data).splitlines()[2:]
+        assert rows == [
+            ",".join(f"{v:.17g}" for v in [*x, y]) for x, y in zip(X, data.Y)
+        ]
 
     def test_metadata_line_required(self):
         cfg = SimConfig(n=3, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=1)
