@@ -1,6 +1,7 @@
 """Functional linear regression with spectral-cutoff and ridge estimators.
 
-Core objects: midpoint-grid functions and kernels (``grid``), spectral
+Functions on the p-point midpoint grid of [0, 1] (``grid``) are (p,) float
+arrays and kernels (p, p) float arrays throughout.  Modules: spectral
 decompositions and perturbation diagnostics (``spectral``), the two slope
 estimators (``estimators``), a reproducible simulator (``simulation``), the
 Monte Carlo benchmark harness (``evaluation``) and a batch CLI (``cli``).
@@ -15,18 +16,8 @@ from .errors import (
     ParameterError,
     RankError,
 )
-from .grid import (
-    Grid,
-    GridFunction,
-    SymmetricKernel,
-    apply_kernel,
-    hs_norm,
-    inner_product,
-    l2_distance_sq,
-    l2_norm,
-)
+from .grid import Grid
 from .spectral import (
-    EigenSystem,
     PerturbationReport,
     align_signs,
     eigendecompose,
@@ -34,20 +25,18 @@ from .spectral import (
     resolvent_identity_residual,
 )
 from .estimators import (
-    CenteredMoments,
     Dataset,
     FittedModel,
     compute_moments,
     pca_fit,
     predict,
     ridge_fit,
-    ridge_filter_slope,
     usable_rank,
 )
 from .simulation import (
     SimConfig,
     TruthBundle,
-    basis,
+    basis_matrix,
     draw_dataset,
     gamma_sequence,
     true_slope,

@@ -38,6 +38,7 @@ from .evaluation import (
     emit_table,
     mc_run,
     rate_fit,
+    rate_sample_sizes,
     theoretical_rate_slope,
 )
 from .simulation import (
@@ -117,13 +118,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r") as handle:
-        return handle.read()
-
-
-def _load_dataset(path: str) -> Dataset:
-    grid, X, Y = dataset_from_csv(_read_text(path), require_y=True)
-    return Dataset(grid=grid, X=X, Y=Y)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -142,8 +141,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    data = _load_dataset(args.data)
-    moments = compute_moments(data)
+    grid, X, Y = dataset_from_csv(_read_text(args.data), require_y=True)
+    moments = compute_moments(Dataset(grid=grid, X=X, Y=Y))
     if args.method == "pca":
         if args.m is None:
             raise _UsageError("--method pca requires --m")
@@ -159,9 +158,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = model_from_text(_read_text(args.model))
     grid, X, _ = dataset_from_csv(_read_text(args.data), require_y=False)
-    if grid != model.slope.grid:
+    if grid.p != model.slope.size:
         raise DataFormatError(
-            f"data grid (p={grid.p}) does not match model grid (p={model.slope.grid.p})"
+            f"data grid (p={grid.p}) does not match model grid (p={model.slope.size})"
         )
     lines = [f"{y:.17g}" for y in predict(model, X).tolist()]
     _emit("\n".join(lines) + "\n", args.out)
@@ -200,8 +199,9 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate_check(args: argparse.Namespace) -> int:
-    theoretical_rate_slope(args.alpha, args.beta)  # reject a bad exponent before the runs
-    sizes = tuple(sorted(args.n))
+    # Reject a bad exponent or too few distinct sizes before the runs.
+    theoretical_rate_slope(args.alpha, args.beta)
+    sizes = rate_sample_sizes(sorted(args.n))
     results = []
     for n in sizes:
         config = SimConfig(
@@ -228,8 +228,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     )
     truth = truth_bundle(config)
     data, _ = draw_dataset(config, truth)
-    moments = compute_moments(data)
-    report = perturbation_report(truth.kernel, moments.cov, args.j_max)
+    _, _, cov, _ = compute_moments(data)
+    report = perturbation_report(truth.kernel, cov, args.j_max)
     _emit(report_to_tsv(report), args.out)
     return EXIT_OK
 

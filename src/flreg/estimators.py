@@ -13,13 +13,17 @@ every candidate at once, for a whole (B, ...) stack of datasets:
   so the estimates are exactly nested in m; ``pca_fit`` is one of its rows
   on a stack of one.
 * ``ridge_path`` (Tikhonov ridge, smoothing parameter rho) weights all p
-  eigenpairs by 1 / (eigenvalue_j + rho) in one batched matrix product;
-  ``ridge_filter_slope`` is one row.  ``ridge_fit`` instead solves
-  (cov + rho * identity) slope = cross_cov densely: the single-fit route,
-  and the oracle the spectral filter is checked against.
+  eigenpairs by 1 / (eigenvalue_j + rho) in one batched matrix product.
+  ``ridge_fit`` instead solves (cov + rho * identity) slope = cross_cov
+  densely: the single-fit route, and the oracle the spectral filter is
+  checked against.
 
 The kernels apply the same operations to every matrix of a stack, so a
 dataset's estimates do not depend on which stack it was solved in.
+
+The single fits take the moments as the 4-tuple (x_mean (p,), y_mean,
+cov (p, p), cross_cov (p,)) that ``moment_arrays`` and ``compute_moments``
+return.
 
 The intercept is always the average of Y_i minus the fitted functional
 term, which for centred moments reduces to y_mean - <slope, x_mean>.
@@ -39,12 +43,11 @@ from .errors import (
     ParameterError,
     RankError,
 )
-from .grid import Grid, GridFunction, SymmetricKernel, _frozen_array, inner_product
-from .spectral import EigenSystem, eigendecompose
+from .grid import Grid, _frozen_array
+from .spectral import eigendecompose
 
 __all__ = [
     "Dataset",
-    "CenteredMoments",
     "FittedModel",
     "moment_arrays",
     "compute_moments",
@@ -53,7 +56,6 @@ __all__ = [
     "ridge_path",
     "pca_fit",
     "ridge_fit",
-    "ridge_filter_slope",
     "predict",
     "model_to_text",
     "model_from_text",
@@ -90,37 +92,24 @@ class Dataset:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True)
-class CenteredMoments:
-    """Empirical means plus centred covariance and cross-covariance."""
-
-    x_mean: GridFunction
-    y_mean: float
-    cov: SymmetricKernel
-    cross_cov: GridFunction
-
-    def __post_init__(self) -> None:
-        if self.cov.grid != self.x_mean.grid or self.cross_cov.grid != self.x_mean.grid:
-            raise DimensionMismatchError("moment components live on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.x_mean.grid
+Moments = tuple[np.ndarray, float, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class FittedModel:
     """A fitted slope function with its intercept and tuning metadata."""
 
-    slope: GridFunction
+    slope: np.ndarray  # (p,) on the grid, finite and read-only
     intercept: float
     method: str  # "pca" | "ridge"
     parameter: float  # the cutoff m (as a float) or the ridge rho
 
+    def __post_init__(self) -> None:
+        slope = _frozen_array(self.slope, (np.size(self.slope),), "slope")
+        object.__setattr__(self, "slope", slope)
 
-def moment_arrays(
-    X: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+
+def moment_arrays(X: np.ndarray, Y: np.ndarray) -> Moments:
     """Means, (p, p) covariance and (p,) cross-covariance of an (n, p)
     covariate matrix and its n responses.
 
@@ -137,16 +126,10 @@ def moment_arrays(
     return x_mean, y_mean, xc.T @ xc / n, yc @ xc / n
 
 
-def compute_moments(data: Dataset) -> CenteredMoments:
+def compute_moments(data: Dataset) -> Moments:
     """Empirical means, covariance kernel and cross-covariance function of
-    a dataset: ``moment_arrays`` wrapped in grid types."""
-    x_mean, y_mean, cov, cross = moment_arrays(data.X, data.Y)
-    return CenteredMoments(
-        x_mean=GridFunction(data.grid, x_mean),
-        y_mean=y_mean,
-        cov=SymmetricKernel(data.grid, cov),
-        cross_cov=GridFunction(data.grid, cross),
-    )
+    a dataset: ``moment_arrays`` of its matrix and responses."""
+    return moment_arrays(data.X, data.Y)
 
 
 def _usable_ranks(vals: np.ndarray) -> np.ndarray:
@@ -156,13 +139,10 @@ def _usable_ranks(vals: np.ndarray) -> np.ndarray:
     return np.where(top[:, 0] > 0.0, np.sum(vals > PCA_RANK_RTOL * top, axis=1), 0)
 
 
-def usable_rank(spectrum: EigenSystem) -> int:
-    """Number of leading eigenvalues safely above the numerical-null cutoff."""
-    return int(_usable_ranks(spectrum.eigenvalues[None])[0])
-
-
-def _intercept_from_moments(slope: GridFunction, moments: CenteredMoments) -> float:
-    return moments.y_mean - inner_product(slope, moments.x_mean)
+def usable_rank(vals: np.ndarray) -> int:
+    """Number of leading eigenvalues, of the (p,) nonincreasing ``vals``,
+    safely above the numerical-null cutoff."""
+    return int(_usable_ranks(np.asarray(vals, dtype=float)[None])[0])
 
 
 def _eigen_coords(vecs: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -195,77 +175,56 @@ def ridge_path(
     return (coords / (vals[:, None, :] + rhos[:, None])) @ np.swapaxes(vecs, 1, 2)
 
 
-def _stack_of_one(
-    spectrum: EigenSystem, cross_cov: GridFunction
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if spectrum.grid != cross_cov.grid:
-        raise DimensionMismatchError("spectrum and cross-covariance grids differ")
-    return spectrum.eigenvalues[None], spectrum.vectors[None], cross_cov.values[None]
+def _fitted(slope: np.ndarray, moments: Moments, method: str, parameter: float) -> FittedModel:
+    """The model of ``slope``, with intercept y_mean - <slope, x_mean> dotted
+    on a fresh copy: OpenBLAS picks its ``ddot`` kernel by alignment, and a
+    view into a path moved the intercept by one ulp."""
+    x_mean, y_mean, _, _ = moments
+    slope = np.array(slope, dtype=float)
+    intercept = y_mean - float(np.dot(slope, x_mean)) / slope.size
+    return FittedModel(slope=slope, intercept=intercept, method=method, parameter=float(parameter))
 
 
-def pca_fit(
-    moments: CenteredMoments, m: int, spectrum: EigenSystem | None = None
-) -> FittedModel:
-    """Spectral-cutoff slope estimate using the top m empirical eigenpairs,
-    the m-th row of ``cutoff_path`` on a stack of one.  A precomputed
-    ``spectrum`` of ``moments.cov`` may be passed to avoid repeated
-    eigendecompositions.
-    """
-    if spectrum is None:
-        spectrum = eigendecompose(moments.cov)
-    rank = usable_rank(spectrum)
+def pca_fit(moments: Moments, m: int) -> FittedModel:
+    """Spectral-cutoff slope estimate using the top m empirical eigenpairs of
+    the moments' covariance, the m-th row of ``cutoff_path`` on a stack of
+    one."""
+    _, _, cov, cross = moments
+    vals, vecs = eigendecompose(cov)
+    rank = usable_rank(vals)
     if not 1 <= m <= rank:
         raise RankError(
             f"cutoff m={m} outside the usable spectral rank; "
             f"largest admissible m is {rank}"
         )
-    path = cutoff_path(*_stack_of_one(spectrum, moments.cross_cov), m)
-    slope_fn = GridFunction(moments.grid, path[0, -1])
-    return FittedModel(
-        slope=slope_fn,
-        intercept=_intercept_from_moments(slope_fn, moments),
-        method="pca",
-        parameter=float(m),
-    )
+    path = cutoff_path(vals[None], vecs[None], np.asarray(cross)[None], m)
+    return _fitted(path[0, -1], moments, "pca", m)
 
 
-def ridge_fit(moments: CenteredMoments, rho: float) -> FittedModel:
+def ridge_fit(moments: Moments, rho: float) -> FittedModel:
     """Tikhonov-regularised slope estimate.
 
     Solves the p x p system (cov / p + rho * identity) slope = cross_cov,
     the grid discretisation of the regularised operator equation.  ``rho``
-    must be strictly positive, which makes the system nonsingular.
+    must be finite and strictly positive, which makes the system
+    nonsingular.
     """
-    if not rho > 0.0:
-        raise ParameterError(f"ridge parameter must be positive, got {rho}")
-    p = moments.grid.p
-    system = moments.cov.values / p + rho * np.eye(p)
-    slope = np.linalg.solve(system, moments.cross_cov.values)
-    slope_fn = GridFunction(moments.grid, slope)
-    return FittedModel(
-        slope=slope_fn,
-        intercept=_intercept_from_moments(slope_fn, moments),
-        method="ridge",
-        parameter=float(rho),
-    )
-
-
-def ridge_filter_slope(
-    spectrum: EigenSystem, cross_cov: GridFunction, rho: float
-) -> GridFunction:
-    """Ridge slope via the spectral filter: the row of ``ridge_path`` for rho."""
-    path = ridge_path(*_stack_of_one(spectrum, cross_cov), (rho,))
-    return GridFunction(spectrum.grid, path[0, 0])
+    if not 0.0 < rho < math.inf:
+        raise ParameterError(f"ridge parameter must be finite and positive, got {rho}")
+    _, _, cov, cross = moments
+    p = cov.shape[0]
+    slope = np.linalg.solve(cov / p + rho * np.eye(p), cross)
+    return _fitted(slope, moments, "ridge", rho)
 
 
 def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
     """Plug-in predictions intercept + <slope, X_i> for the rows of the
     (n, p) matrix ``X``."""
     X = np.asarray(X, dtype=float)
-    p = model.slope.grid.p
+    p = model.slope.size
     if X.ndim != 2 or X.shape[1] != p:
         raise DimensionMismatchError(f"X has shape {X.shape}, expected (n, {p})")
-    return model.intercept + X @ model.slope.values / p
+    return model.intercept + X @ model.slope / p
 
 
 def model_to_text(model: FittedModel) -> str:
@@ -284,9 +243,9 @@ def model_to_text(model: FittedModel) -> str:
         f"method={model.method}",
         param_line,
         f"intercept={model.intercept:.17g}",
-        f"p={model.slope.grid.p}",
+        f"p={model.slope.size}",
     ]
-    lines.extend(f"{v:.17g}" for v in model.slope.values)
+    lines.extend(f"{v:.17g}" for v in model.slope)
     return "\n".join(lines) + "\n"
 
 
@@ -315,6 +274,8 @@ def model_from_text(text: str) -> FittedModel:
         values = np.array([float(line) for line in lines[4:] if line.strip()])
     except ValueError as exc:
         raise DataFormatError(f"model file: non-numeric field ({exc})") from exc
+    if p < 2:
+        raise DataFormatError(f"model file: need a grid of p >= 2 points, got p={p}")
     if method == "pca" and parameter < 1:
         raise DataFormatError(f"model file: need m >= 1, got {parameter:g}")
     if method == "ridge" and not 0.0 < parameter < math.inf:
@@ -325,10 +286,4 @@ def model_from_text(text: str) -> FittedModel:
         raise DataFormatError(
             f"model file: expected {p} slope values, found {len(values)}"
         )
-    grid = Grid(p)
-    return FittedModel(
-        slope=GridFunction(grid, values),
-        intercept=intercept,
-        method=method,
-        parameter=parameter,
-    )
+    return FittedModel(slope=values, intercept=intercept, method=method, parameter=parameter)

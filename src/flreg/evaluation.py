@@ -53,9 +53,9 @@ __all__ = [
     "default_rho_grid",
     "integrated_bias_var",
     "mc_run",
+    "rate_sample_sizes",
     "rate_fit",
     "emit_table",
-    "parse_table",
     "emit_profile",
     "TABLE_COLUMNS",
 ]
@@ -182,7 +182,7 @@ def mc_run(
         )
 
     truth = truth_bundle(config)
-    target, p = truth.slope.values, config.p
+    target, p = truth.slope, config.p
     # (candidate, replication, p) stacks; chunks fill disjoint replication slots.
     cuts = np.empty((min(m_grid[-1], p), replications, p))
     ridges = np.empty((len(rho_grid), replications, p))
@@ -253,6 +253,14 @@ def theoretical_rate_slope(alpha: float, beta: float) -> float:
     return -(2.0 * beta - 1.0) / (alpha + 2.0 * beta)
 
 
+def rate_sample_sizes(sample_sizes) -> tuple[int, ...]:
+    """The sample sizes of a rate fit as ints: at least 3, strictly increasing."""
+    sizes = tuple(int(n) for n in sample_sizes)
+    if len(sizes) < 3 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError("need at least 3 strictly increasing sample sizes")
+    return sizes
+
+
 def rate_fit(
     alpha: float,
     beta: float,
@@ -265,9 +273,7 @@ def rate_fit(
     ``results`` holds one oracle-tuned McResult per sample size, in the same
     order as ``sample_sizes`` (at least 3, strictly increasing).
     """
-    sizes = tuple(int(n) for n in sample_sizes)
-    if len(sizes) < 3 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError("need at least 3 strictly increasing sample sizes")
+    sizes = rate_sample_sizes(sample_sizes)
     if len(results) != len(sizes):
         raise ParameterError("one McResult per sample size required")
     if estimator == "pca":
@@ -354,23 +360,6 @@ def emit_table(results: list[McResult], fmt: str = "tsv") -> str:
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
         return "\n".join(lines) + "\n"
     raise ParameterError(f"unknown table format {fmt!r}")
-
-
-def parse_table(text: str) -> list[dict]:
-    """Parse a TSV table produced by ``emit_table`` back into row dicts."""
-    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
-    if not lines or tuple(lines[0].split("\t")) != TABLE_COLUMNS:
-        raise ParameterError("text does not start with the canonical table header")
-    rows = []
-    for line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != len(TABLE_COLUMNS):
-            raise ParameterError("table row has wrong number of columns")
-        row = dict(zip(TABLE_COLUMNS, (float(f) for f in fields)))
-        row["n"] = int(row["n"])
-        row["m"] = int(row["m"])
-        rows.append(row)
-    return rows
 
 
 def emit_profile(results: list[McResult]) -> str:

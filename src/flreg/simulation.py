@@ -35,12 +35,11 @@ import numpy as np
 
 from .errors import DataFormatError, ParameterError
 from .estimators import Dataset
-from .grid import Grid, GridFunction, SymmetricKernel
+from .grid import Grid
 
 __all__ = [
     "SimConfig",
     "TruthBundle",
-    "basis",
     "basis_matrix",
     "slope_coefficients",
     "true_slope",
@@ -104,25 +103,12 @@ class SimConfig:
         )
 
 
-def basis(j: int, grid: Grid) -> GridFunction:
-    """The j-th basis function: constant for j = 1, unit-norm cosines after.
-
-    basis(j) for j >= 2 is sqrt(2) cos((j - 1) pi t).  On the midpoint grid
-    the family basis(1), ..., basis(p) is exactly orthonormal in the
-    quadrature inner product.
-    """
-    if not 1 <= j <= grid.p:
-        raise ParameterError(f"basis index must lie in [1, {grid.p}], got {j}")
-    if j == 1:
-        values = np.ones(grid.p)
-    else:
-        values = math.sqrt(2.0) * np.cos((j - 1) * math.pi * grid.points)
-    return GridFunction(grid, values)
-
-
 def basis_matrix(grid: Grid, count: int) -> np.ndarray:
-    """Rows 1..count of the cosine basis evaluated on the grid, as (count, p);
-    row j - 1 equals ``basis(j, grid).values`` bit for bit."""
+    """Basis functions 1..count on the grid as (count, p) rows: the constant
+    one, then sqrt(2) cos((j - 1) pi t) in row j - 1.  On the midpoint grid
+    all p rows are exactly orthonormal in the quadrature inner product."""
+    if not 1 <= count <= grid.p:
+        raise ParameterError(f"basis count must lie in [1, {grid.p}], got {count}")
     j_minus_1 = np.arange(count, dtype=float)[:, None]
     out = math.sqrt(2.0) * np.cos(j_minus_1 * math.pi * grid.points)
     out[0] = 1.0
@@ -137,11 +123,10 @@ def slope_coefficients(n_terms: int) -> np.ndarray:
     return coefs
 
 
-def true_slope(grid: Grid, n_terms: int = 50) -> GridFunction:
-    """The true slope function as a finite cosine series."""
-    if not 1 <= n_terms <= grid.p:
-        raise ParameterError(f"need 1 <= n_terms <= p, got {n_terms}")
-    return GridFunction(grid, slope_coefficients(n_terms) @ basis_matrix(grid, n_terms))
+def true_slope(grid: Grid, n_terms: int = 50) -> np.ndarray:
+    """The true slope function on the grid, a (p,) finite cosine series of
+    1 <= n_terms <= p terms."""
+    return slope_coefficients(n_terms) @ basis_matrix(grid, n_terms)
 
 
 def gamma_sequence(spacing: str, alpha: float, count: int) -> np.ndarray:
@@ -178,12 +163,13 @@ def gamma_sequence(spacing: str, alpha: float, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TruthBundle:
     """Everything the data-generating process knows: true slope, score
-    scales, basis, covariance kernel and its sorted eigenvalues."""
+    scales, basis, covariance kernel and its sorted eigenvalues.  The slope
+    and the kernel are read-only."""
 
-    slope: GridFunction
+    slope: np.ndarray  # (p,)
     gamma: np.ndarray  # (J,) in basis order
     basis: np.ndarray  # (J, p) basis functions on the grid
-    kernel: SymmetricKernel
+    kernel: np.ndarray  # (p, p), exactly symmetric
     eigenvalues: np.ndarray  # gamma**2 sorted nonincreasing
     eigen_order: np.ndarray  # 0-based basis index of each sorted eigenvalue
 
@@ -196,13 +182,16 @@ def truth_bundle(config: SimConfig) -> TruthBundle:
     # Two-operand accumulation keeps the kernel exactly symmetric.
     scaled = np.abs(gamma)[:, None] * B
     kernel = np.einsum("ju,jv->uv", scaled, scaled)
+    slope = true_slope(grid, config.n_terms)
+    slope.setflags(write=False)
+    kernel.setflags(write=False)
     kappa = gamma**2
     order = np.argsort(-kappa, kind="stable")
     return TruthBundle(
-        slope=true_slope(grid, config.n_terms),
+        slope=slope,
         gamma=gamma,
         basis=B,
-        kernel=SymmetricKernel(grid, kernel),
+        kernel=kernel,
         eigenvalues=kappa[order],
         eigen_order=order,
     )
@@ -221,7 +210,7 @@ def draw_xy(config: SimConfig, truth: TruthBundle) -> tuple[np.ndarray, np.ndarr
     scores = rng.uniform(-SQRT3, SQRT3, size=(config.n, config.n_terms))
     noise = config.sigma_eps * rng.standard_normal(config.n)
     X = (scores * truth.gamma) @ truth.basis
-    return X, X @ truth.slope.values / config.p + noise
+    return X, X @ truth.slope / config.p + noise
 
 
 def draw_dataset(
@@ -270,6 +259,8 @@ def dataset_from_csv(
             "dataset CSV must start with a '# grid=midpoint p=<p>' metadata line"
         )
     p = int(match.group(1))
+    if p < 2:
+        raise DataFormatError(f"dataset CSV: need a grid of p >= 2 points, got p={p}")
     grid = Grid(p)
     if len(lines) < 2:
         raise DataFormatError("dataset CSV is missing its header line")

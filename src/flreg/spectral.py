@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionMismatchError, ParameterError
-from .grid import Grid, SymmetricKernel, _require_symmetric
+from .grid import _require_symmetric
 
 __all__ = [
-    "EigenSystem",
     "PerturbationIndexRow",
     "PerturbationReport",
     "eigendecompose",
@@ -37,44 +36,9 @@ __all__ = [
     "report_to_tsv",
 ]
 
-# Eigenvalues below NULL_RTOL * max(leading eigenvalue, 1) are reported but
-# considered numerically indistinguishable from zero.
-NULL_RTOL = 1e-12
-
 # Minimum separation between lambda_j and the rest of the reference spectrum
 # for the resolvent identity to be evaluated.
 SEPARATION_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """All p eigenpairs of a discretised symmetric integral operator.
-
-    ``eigenvalues`` is sorted nonincreasing; column j of ``vectors`` is the
-    j-th eigenfunction on the grid, unit-norm and pairwise orthogonal in the
-    quadrature inner product.
-    """
-
-    grid: Grid
-    eigenvalues: np.ndarray  # (p,)
-    vectors: np.ndarray  # (p, p), column j <-> eigenvalues[j]
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.vectors, dtype=float)
-        if vals.ndim != 1 or vecs.shape != (self.grid.p, vals.size):
-            raise DimensionMismatchError("inconsistent eigensystem shapes")
-        if np.any(vals[:-1] < vals[1:]):
-            raise ParameterError("eigenvalues must be sorted nonincreasing")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def null_mask(self) -> np.ndarray:
-        """True where an eigenvalue is numerically null."""
-        return self.eigenvalues < NULL_RTOL * max(float(self.eigenvalues[0]), 1.0)
 
 
 def eigh_stack(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,34 +58,43 @@ def eigh_stack(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # eigh returns ascending order; flip to nonincreasing.
     vals = vals[:, ::-1].copy()
     vecs = (vecs[:, :, ::-1] * math.sqrt(p)).copy()
-    if np.any(vals[:, :-1] < vals[:, 1:]):
-        raise ParameterError("eigenvalues must be sorted nonincreasing")
     return vals, vecs
 
 
-def eigendecompose(kernel: SymmetricKernel) -> EigenSystem:
-    """Full spectral decomposition of the integral operator of ``kernel``.
+def eigendecompose(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectral decomposition of the integral operator of the (p, p)
+    ``kernel``: ``eigh_stack`` on a batch of one.
 
-    Returns all p eigenpairs, eigenvalues sorted nonincreasing, with
-    eigenvectors rescaled by sqrt(p) so they are orthonormal under the
-    quadrature inner product.  The kernel is reconstructed exactly (to
-    solver accuracy) by sum_j eigenvalue_j * v_j(u) * v_j(v).  This is
-    ``eigh_stack`` on a batch of one.
+    Returns the (p,) eigenvalues, sorted nonincreasing, and the (p, p)
+    eigenvectors, column j belonging to eigenvalue j and rescaled by
+    sqrt(p) so the columns are orthonormal under the quadrature inner
+    product.  The kernel is reconstructed exactly (to solver accuracy) by
+    sum_j eigenvalue_j * v_j(u) * v_j(v).
     """
-    vals, vecs = eigh_stack(kernel.values[None])
-    return EigenSystem(kernel.grid, vals[0], vecs[0])
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise DimensionMismatchError(f"kernel has shape {kernel.shape}, expected (p, p)")
+    vals, vecs = eigh_stack(kernel[None])
+    return vals[0], vecs[0]
 
 
-def align_signs(system: EigenSystem, reference: EigenSystem) -> EigenSystem:
-    """Flip eigenfunction signs so each overlaps nonnegatively with the
-    same-rank eigenfunction of ``reference``.  Eigenvalues are unchanged."""
-    if system.grid != reference.grid:
-        raise DimensionMismatchError("eigensystems live on different grids")
-    if system.eigenvalues.size != reference.eigenvalues.size:
-        raise DimensionMismatchError("eigensystems hold different numbers of eigenpairs")
-    overlaps = np.einsum("ij,ij->j", system.vectors, reference.vectors) / system.grid.p
-    signs = np.where(overlaps < 0.0, -1.0, 1.0)
-    return EigenSystem(system.grid, system.eigenvalues, system.vectors * signs)
+def align_signs(vecs: np.ndarray, ref_vecs: np.ndarray) -> np.ndarray:
+    """``vecs`` with each column's sign flipped so it overlaps nonnegatively
+    with the same column of ``ref_vecs`` (both (p, k) eigenvector matrices
+    as from ``eigendecompose``)."""
+    overlaps = np.einsum("ij,ij->j", vecs, ref_vecs) / vecs.shape[0]
+    return vecs * np.where(overlaps < 0.0, -1.0, 1.0)
+
+
+def _spectra(kernel, other) -> tuple[np.ndarray, ...]:
+    """Two (p, p) kernels as arrays, with the eigenpairs of each; the
+    eigenvectors of ``other`` are sign-aligned to those of ``kernel``."""
+    kernel, other = np.asarray(kernel, dtype=float), np.asarray(other, dtype=float)
+    if kernel.shape != other.shape:
+        raise DimensionMismatchError(f"kernels have shapes {kernel.shape} and {other.shape}")
+    ref_vals, ref_vecs = eigendecompose(kernel)
+    per_vals, per_vecs = eigendecompose(other)
+    return kernel, other, ref_vals, ref_vecs, per_vals, align_signs(per_vecs, ref_vecs)
 
 
 @dataclass(frozen=True)
@@ -148,50 +121,36 @@ class PerturbationReport:
     rows: tuple[PerturbationIndexRow, ...]
 
 
-def _hs_gap(a: np.ndarray, b: np.ndarray, p: int) -> float:
-    """Hilbert-Schmidt distance of two kernels given as raw arrays.
-
-    The elementwise difference of two kernels that are each only
-    tolerance-symmetric need not satisfy the SymmetricKernel invariant
-    relative to its own (possibly tiny) scale, so the distance is computed
-    directly.
-    """
-    diff = a - b
-    return float(np.sqrt(np.sum(diff * diff))) / p
-
-
 def perturbation_report(
-    kernel: SymmetricKernel, other: SymmetricKernel, j_max: int
+    kernel: np.ndarray, other: np.ndarray, j_max: int
 ) -> PerturbationReport:
-    """Numerically evaluate the spectral stability bounds for a kernel pair.
+    """Numerically evaluate the spectral stability bounds for a pair of
+    (p, p) kernels.
 
     ``kernel`` provides the reference spectrum (its eigenvalues must be
     distinct down to rank ``j_max``); ``other`` is the perturbed kernel.
     Eigenfunctions of ``other`` are sign-aligned to the reference before
     distances are measured.
     """
-    if kernel.grid != other.grid:
-        raise DimensionMismatchError("kernels live on different grids")
-    p = kernel.grid.p
+    kernel, other, ref_vals, ref_vecs, per_vals, per_vecs = _spectra(kernel, other)
+    p = ref_vals.size
     if not 1 <= j_max <= p - 1:
         raise ParameterError(f"j_max must lie in [1, {p - 1}], got {j_max}")
 
-    ref = eigendecompose(kernel)
-    per = align_signs(eigendecompose(other), ref)
-
-    gaps = ref.eigenvalues[:-1] - ref.eigenvalues[1:]
+    gaps = ref_vals[:-1] - ref_vals[1:]
     min_gaps = np.minimum.accumulate(gaps)
     if min_gaps[j_max - 1] <= 0.0:
         raise DegenerateSpectrumError(
             f"reference spectrum tied at or before rank {j_max}"
         )
 
-    gap = _hs_gap(kernel.values, other.values, p)
-    eigen_gaps = np.abs(ref.eigenvalues - per.eigenvalues)
+    diff = kernel - other
+    gap = float(np.sqrt(np.sum(diff * diff))) / p  # Hilbert-Schmidt distance
+    eigen_gaps = np.abs(ref_vals - per_vals)
 
     rows = []
     for j in range(1, j_max + 1):
-        diff = ref.vectors[:, j - 1] - per.vectors[:, j - 1]
+        diff = ref_vecs[:, j - 1] - per_vecs[:, j - 1]
         dist = math.sqrt(float(np.dot(diff, diff)) / p)
         rows.append(
             PerturbationIndexRow(
@@ -207,11 +166,9 @@ def perturbation_report(
     )
 
 
-def resolvent_identity_residual(
-    kernel: SymmetricKernel, other: SymmetricKernel, j: int
-) -> float:
+def resolvent_identity_residual(kernel: np.ndarray, other: np.ndarray, j: int) -> float:
     """Residual of the exact finite-dimensional resolvent expansion of an
-    eigenfunction difference.
+    eigenfunction difference, for a pair of (p, p) kernels.
 
     With (kappa_k, phi_k) the reference eigenpairs of ``kernel`` and
     (lambda_j, psi_j) the rank-j eigenpair of ``other`` (sign-aligned), the
@@ -226,33 +183,29 @@ def resolvent_identity_residual(
     so the residual is at rounding level whenever lambda_j is well separated
     from every kappa_k with k != j.
     """
-    if kernel.grid != other.grid:
-        raise DimensionMismatchError("kernels live on different grids")
-    p = kernel.grid.p
+    kernel, other, ref_vals, ref_vecs, per_vals, per_vecs = _spectra(kernel, other)
+    p = ref_vals.size
     if not 1 <= j <= p:
         raise ParameterError(f"eigenpair rank must lie in [1, {p}], got {j}")
+    lam = float(per_vals[j - 1])
+    psi = per_vecs[:, j - 1]
+    phi = ref_vecs[:, j - 1]
 
-    ref = eigendecompose(kernel)
-    per = align_signs(eigendecompose(other), ref)
-    lam = float(per.eigenvalues[j - 1])
-    psi = per.vectors[:, j - 1]
-    phi = ref.vectors[:, j - 1]
-
-    separation = np.abs(lam - ref.eigenvalues)
+    separation = np.abs(lam - ref_vals)
     separation[j - 1] = np.inf
     if float(np.min(separation)) < SEPARATION_FLOOR:
         raise DegenerateSpectrumError(
             f"lambda_{j} is within {SEPARATION_FLOOR} of another reference eigenvalue"
         )
 
-    forced = (other.values - kernel.values) @ psi / p  # (other - kernel) psi_j
-    coords = ref.vectors.T @ forced / p  # <(other - kernel) psi_j, phi_k>
+    forced = (other - kernel) @ psi / p  # (other - kernel) psi_j
+    coords = ref_vecs.T @ forced / p  # <(other - kernel) psi_j, phi_k>
 
-    denominators = lam - ref.eigenvalues
+    denominators = lam - ref_vals
     denominators[j - 1] = 1.0  # placeholder; this coefficient is set directly below
     coefs = coords / denominators
     coefs[j - 1] = float(np.dot(psi - phi, phi)) / p
-    reconstruction = ref.vectors @ coefs
+    reconstruction = ref_vecs @ coefs
 
     residual = reconstruction - (psi - phi)
     return math.sqrt(float(np.dot(residual, residual)) / p)

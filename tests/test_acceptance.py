@@ -17,23 +17,19 @@ import pytest
 
 from flreg import (
     Grid,
-    GridFunction,
     SimConfig,
-    SymmetricKernel,
     compute_moments,
     draw_dataset,
     eigendecompose,
-    l2_norm,
     mc_run,
     perturbation_report,
     rate_fit,
     resolvent_identity_residual,
     ridge_fit,
-    ridge_filter_slope,
     truth_bundle,
 )
 from flreg.cli import run
-from flreg.estimators import CenteredMoments
+from flreg.estimators import ridge_path
 from flreg.simulation import basis_matrix
 
 SEED = 7
@@ -88,31 +84,26 @@ def test_criterion_1_basis_orthonormality():
 
 def test_criterion_2_true_spectrum_recovery():
     cfg = SimConfig(n=10, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=SEED)
-    sys = eigendecompose(truth_bundle(cfg).kernel)
+    vals, _ = eigendecompose(truth_bundle(cfg).kernel)
     expected = np.arange(1, 51, dtype=float) ** -2.0
-    worst = float(np.max(np.abs(sys.eigenvalues - expected)))
+    worst = float(np.max(np.abs(vals - expected)))
     ok = worst <= 1e-8
     report(2, ok, f"max eigenvalue error {worst:.3e} (tol 1e-8)")
     assert ok
 
 
 def test_criterion_3_ridge_spectral_equivalence():
-    grid = Grid(50)
+    p = 50
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(10_000 + seed)
-        w = rng.standard_normal((50, 50))
-        moments = CenteredMoments(
-            x_mean=GridFunction(grid, np.zeros(50)),
-            y_mean=0.0,
-            cov=SymmetricKernel(grid, np.einsum("ik,jk->ij", w, w) / 50),
-            cross_cov=GridFunction(grid, rng.standard_normal(50)),
-        )
-        spectrum = eigendecompose(moments.cov)
+        w = rng.standard_normal((p, p))
+        moments = (np.zeros(p), 0.0, np.einsum("ik,jk->ij", w, w) / p, rng.standard_normal(p))
+        vals, vecs = eigendecompose(moments[2])
         for rho in (1e-4, 1e-2, 1.0):
             solve = ridge_fit(moments, rho).slope
-            filt = ridge_filter_slope(spectrum, moments.cross_cov, rho)
-            gap = l2_norm(GridFunction(grid, solve.values - filt.values))
+            filt = ridge_path(vals[None], vecs[None], moments[3][None], (rho,))[0, 0]
+            gap = math.sqrt(float(np.dot(solve - filt, solve - filt)) / p)
             worst = max(worst, gap)
     ok = worst <= 1e-8
     report(3, ok, f"worst route disagreement {worst:.3e} over 100 kernels x 3 rho (tol 1e-8)")
@@ -126,21 +117,21 @@ def test_criterion_4_perturbation_bound_suite():
             n=500, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=20_000 + rep
         )
         data, truth = draw_dataset(cfg)
-        rep_out = perturbation_report(truth.kernel, compute_moments(data).cov, 10)
+        _, _, cov, _ = compute_moments(data)
+        rep_out = perturbation_report(truth.kernel, cov, 10)
         for row in rep_out.rows:
             worst_slack = min(worst_slack, row.slack_eigenvalue, row.slack_eigenfunction)
     bounds_ok = worst_slack >= -1e-8
 
     worst_residual = 0.0
     p = 20
-    grid = Grid(p)
     for rep in range(20):
         rng = np.random.default_rng(30_000 + rep)
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         w = (q * np.sqrt(np.linspace(2.0, 0.5, p))).T
-        kernel = SymmetricKernel(grid, np.einsum("ji,jk->ik", w, w) * p)
+        kernel = np.einsum("ji,jk->ik", w, w) * p
         bump = rng.standard_normal((p, p)) * 1e-3
-        other = SymmetricKernel(grid, kernel.values + np.einsum("ik,jk->ij", bump, bump))
+        other = kernel + np.einsum("ik,jk->ij", bump, bump)
         j = int(rng.integers(1, p + 1))
         worst_residual = max(worst_residual, resolvent_identity_residual(kernel, other, j))
     residual_ok = worst_residual <= 1e-6

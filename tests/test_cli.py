@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import flreg
+import flreg.cli
 from flreg.cli import run
 from flreg.estimators import model_from_text
 from flreg.simulation import dataset_from_csv
@@ -71,7 +72,7 @@ class TestFitPredict:
                     "--rho", "0.1", "--out", str(model_path)]) == 0
         model = model_from_text(read(model_path))
         assert model.method == "ridge"
-        assert model.slope.grid.p == 50
+        assert model.slope.shape == (50,)
         preds = tmp_path / "preds.txt"
         assert run(["predict", "--model", str(model_path), "--data", str(data),
                     "--out", str(preds)]) == 0
@@ -95,6 +96,19 @@ class TestFitPredict:
         out = tmp_path / "model.txt"
         assert run(["fit", "--data", str(data), "--method", "pca",
                     "--m", "0", "--out", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_non_finite_rho_is_precondition_error(self, tmp_path, capsys, rho):
+        data = simulate(tmp_path, n=6)
+        out = tmp_path / "model.txt"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+            assert run(["fit", "--data", str(data), "--method", "ridge",
+                        "--rho", rho, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("flreg: ridge parameter must be finite") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_tuning_flag_is_usage_error(self, tmp_path):
@@ -165,6 +179,41 @@ class TestErrorPaths:
         assert run(["predict", "--model", str(model_path), "--data", str(data),
                     "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_grid_size_below_two_is_data_format(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=6)
+        bad_csv, bad_model = tmp_path / "p1.csv", tmp_path / "p0.model"
+        bad_csv.write_text("# grid=midpoint p=1\nx_1,y\n1,2\n3,4\n")
+        bad_model.write_text("method=ridge\nrho=0.1\nintercept=0\np=0\n")
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run(["fit", "--data", str(bad_csv), "--method", "ridge",
+                    "--rho", "0.1", "--out", str(out)]) == 3
+        assert run(["predict", "--model", str(bad_model), "--data", str(data),
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("p >= 2" in line for line in err)
+        assert not out.exists()
+
+    def test_invalid_utf8_is_data_format(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=6)
+        model_path = tmp_path / "model.txt"
+        assert run(["fit", "--data", str(data), "--method", "pca", "--m", "2",
+                    "--out", str(model_path)]) == 0
+        bad_data, bad_model = tmp_path / "bad.csv", tmp_path / "bad.model"
+        bad_data.write_bytes(data.read_bytes().replace(b"x_2", b"x_\xff"))
+        bad_model.write_bytes(b"method=pca\xc3\n" + model_path.read_bytes())
+        out = tmp_path / "out.txt"
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        for argv in (["fit", "--data", str(bad_data), "--method", "pca", "--m", "2"],
+                     ["predict", "--model", str(model_path), "--data", str(bad_data)],
+                     ["predict", "--model", str(bad_model), "--data", str(data)]):
+            assert run(argv + ["--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("flreg: data format error:") and err.count("\n") == 1
+            assert "UTF-8" in err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_unreadable_input_is_io_error(self, tmp_path):
         out = tmp_path / "model.txt"
@@ -274,6 +323,20 @@ class TestBatchCommands:
                         "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("flreg: invalid rho grid") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["20,20,40", "20,40", "40,20,40,20"])
+    def test_rate_check_rejects_too_few_sizes_before_running(
+        self, tmp_path, capsys, monkeypatch, sizes
+    ):
+        calls = []
+        monkeypatch.setattr(flreg.cli, "mc_run", lambda *a, **k: calls.append(a))
+        out = tmp_path / "rate.tsv"
+        assert run(["rate-check", "--alpha", "2", "--beta", "2", "--n", sizes,
+                    "--reps", "3", "--threads", "1", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "at least 3 strictly increasing sample sizes" in err and err.count("\n") == 1
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha,beta", [("2", "nan"), ("2", "0.4"), ("2", "inf")])

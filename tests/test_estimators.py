@@ -1,4 +1,4 @@
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,89 +6,76 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flreg import (
-    CenteredMoments,
     Dataset,
     DimensionMismatchError,
-    EigenSystem,
     Grid,
-    GridFunction,
     InsufficientDataError,
     ParameterError,
     RankError,
     SimConfig,
-    SymmetricKernel,
     compute_moments,
     draw_dataset,
     eigendecompose,
-    hs_norm,
-    inner_product,
-    l2_distance_sq,
-    l2_norm,
     pca_fit,
     predict,
     ridge_fit,
-    ridge_filter_slope,
-    truth_bundle,
     usable_rank,
 )
 from flreg.estimators import cutoff_path, model_from_text, model_to_text, ridge_path
 from flreg.evaluation import DEFAULT_M_GRID, default_rho_grid
-from flreg.simulation import basis
+from flreg.simulation import basis_matrix
 from flreg.spectral import eigh_stack
 
 GRID = Grid(50)
 
 
-def gf(values):
-    return GridFunction(GRID, np.asarray(values, dtype=float))
+def basis(j):
+    return basis_matrix(GRID, j)[j - 1]
+
+
+def l2_norm(f):
+    return math.sqrt(float(np.dot(f, f)) / len(f))
 
 
 def rank_one_moments(direction, cross_scale):
     """Moments whose covariance is a unit projector onto `direction`."""
-    kernel = SymmetricKernel(GRID, np.outer(direction.values, direction.values))
-    return CenteredMoments(
-        x_mean=gf(np.zeros(50)),
-        y_mean=0.0,
-        cov=kernel,
-        cross_cov=gf(cross_scale * direction.values),
-    )
+    return np.zeros(50), 0.0, np.outer(direction, direction), cross_scale * direction
 
 
 def random_psd_moments(seed, p=50):
     rng = np.random.default_rng(seed)
-    grid = Grid(p)
     w = rng.standard_normal((p, p))
-    cov = SymmetricKernel(grid, np.einsum("ik,jk->ij", w, w) / p)
-    return CenteredMoments(
-        x_mean=GridFunction(grid, np.zeros(p)),
-        y_mean=0.0,
-        cov=cov,
-        cross_cov=GridFunction(grid, rng.standard_normal(p)),
-    )
+    return np.zeros(p), 0.0, np.einsum("ik,jk->ij", w, w) / p, rng.standard_normal(p)
+
+
+def stack_of_one(moments):
+    """The stacked kernels' arguments for a single dataset's moments."""
+    vals, vecs = eigendecompose(moments[2])
+    return vals[None], vecs[None], moments[3][None]
 
 
 class TestComputeMoments:
     def test_identical_observations_give_zero_moments(self):
-        x = basis(3, GRID).values
+        x = basis(3)
         data = Dataset(GRID, np.stack([x, x, x]), np.array([1.0, 1.0, 1.0]))
-        moments = compute_moments(data)
+        _, _, cov, cross = compute_moments(data)
         # centring identical rows leaves at most 1-ulp residue
-        assert hs_norm(moments.cov) <= 1e-30
-        assert l2_norm(moments.cross_cov) <= 1e-15
+        assert math.sqrt(float(np.sum(cov**2))) / 50 <= 1e-30
+        assert l2_norm(cross) <= 1e-15
 
     def test_two_point_hand_case(self):
-        phi = basis(2, GRID)
-        data = Dataset(GRID, np.stack([phi.values, -phi.values]), np.array([1.0, -1.0]))
-        moments = compute_moments(data)
-        expected = np.outer(phi.values, phi.values)
-        assert np.max(np.abs(moments.cov.values - expected)) <= 1e-12
-        np.testing.assert_allclose(moments.cross_cov.values, phi.values, atol=1e-12)
+        phi = basis(2)
+        data = Dataset(GRID, np.stack([phi, -phi]), np.array([1.0, -1.0]))
+        x_mean, y_mean, cov, cross = compute_moments(data)
+        assert np.all(x_mean == 0.0) and y_mean == 0.0
+        assert np.max(np.abs(cov - np.outer(phi, phi))) <= 1e-12
+        np.testing.assert_allclose(cross, phi, atol=1e-12)
 
     def test_covariance_exactly_symmetric(self):
         data, _ = draw_dataset(
             SimConfig(n=200, sigma_eps=1.0, alpha=1.5, spacing="well_spaced", seed=3)
         )
-        cov = compute_moments(data).cov.values
+        cov = compute_moments(data)[2]
         assert np.array_equal(cov, cov.T)
 
     def test_covariance_error_shrinks_like_root_n(self):
@@ -102,7 +89,7 @@ class TestComputeMoments:
                     n=n, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=40 + seed
                 )
                 data, truth = draw_dataset(cfg)
-                diff = compute_moments(data).cov.values - truth.kernel.values
+                diff = compute_moments(data)[2] - truth.kernel
                 per_seed.append(np.sqrt(np.sum(diff**2)) / 50)
             errors[n] = np.median(per_seed)
         ratio = errors[3200] / errors[200]  # expect about 1/4
@@ -110,10 +97,10 @@ class TestComputeMoments:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            Dataset(GRID, basis(1, GRID).values[None, :], np.array([1.0]))
+            Dataset(GRID, basis(1)[None, :], np.array([1.0]))
 
     def test_dataset_matrix_is_validated_and_read_only(self):
-        X = np.stack([basis(1, GRID).values, basis(2, GRID).values])
+        X = np.stack([basis(1), basis(2)])
         data = Dataset(GRID, X, np.array([1.0, 2.0]))
         assert data.n == 2 and data.X.shape == (2, 50)
         assert not data.X.flags.writeable and not data.Y.flags.writeable
@@ -130,17 +117,17 @@ class TestComputeMoments:
 
 class TestPcaFit:
     def test_zero_cross_covariance_gives_zero_slope(self):
-        moments = rank_one_moments(basis(2, GRID), 0.0)
+        moments = rank_one_moments(basis(2), 0.0)
         model = pca_fit(moments, 1)
-        assert np.all(model.slope.values == 0.0)
+        assert np.all(model.slope == 0.0)
 
     def test_single_eigenpair_arithmetic(self):
-        moments = rank_one_moments(basis(2, GRID), 0.5)
+        moments = rank_one_moments(basis(2), 0.5)
         model = pca_fit(moments, 1)
-        np.testing.assert_allclose(model.slope.values, 0.5 * basis(2, GRID).values, atol=1e-10)
+        np.testing.assert_allclose(model.slope, 0.5 * basis(2), atol=1e-10)
 
     def test_rank_error_names_largest_admissible_m(self):
-        moments = rank_one_moments(basis(2, GRID), 0.5)
+        moments = rank_one_moments(basis(2), 0.5)
         with pytest.raises(RankError, match="largest admissible m is 1"):
             pca_fit(moments, 2)
         with pytest.raises(RankError):
@@ -156,7 +143,7 @@ class TestPcaFit:
                 )
                 data, truth = draw_dataset(cfg)
                 model = pca_fit(compute_moments(data), 50)
-                assert l2_distance_sq(model.slope, truth.slope) <= 1e-16
+                assert l2_norm(model.slope - truth.slope) ** 2 <= 1e-16
 
     def test_nesting_is_exact(self):
         moments = compute_moments(
@@ -164,28 +151,28 @@ class TestPcaFit:
                 SimConfig(n=100, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=9)
             )[0]
         )
-        spectrum = eigendecompose(moments.cov)
-        coords = moments.cross_cov.values @ spectrum.vectors / GRID.p
+        vals, vecs = eigendecompose(moments[2])
+        coords = moments[3] @ vecs / GRID.p
         for m in (1, 3, 7):
-            lo = pca_fit(moments, m, spectrum=spectrum).slope.values
-            hi = pca_fit(moments, m + 1, spectrum=spectrum).slope.values
-            coef = coords[m] / spectrum.eigenvalues[m]
-            np.testing.assert_array_equal(hi, lo + coef * spectrum.vectors[:, m])
+            lo = pca_fit(moments, m).slope
+            hi = pca_fit(moments, m + 1).slope
+            coef = coords[m] / vals[m]
+            np.testing.assert_array_equal(hi, lo + coef * vecs[:, m])
 
 
 class TestRidgeFit:
     def test_zero_cross_covariance_gives_zero_slope(self):
-        moments = rank_one_moments(basis(2, GRID), 0.0)
-        assert np.all(ridge_fit(moments, 1.0).slope.values == 0.0)
+        moments = rank_one_moments(basis(2), 0.0)
+        assert np.all(ridge_fit(moments, 1.0).slope == 0.0)
 
     def test_single_eigenpair_filter_value(self):
-        moments = rank_one_moments(basis(2, GRID), 1.0)
+        moments = rank_one_moments(basis(2), 1.0)
         model = ridge_fit(moments, 1.0)
-        np.testing.assert_allclose(model.slope.values, 0.5 * basis(2, GRID).values, atol=1e-10)
+        np.testing.assert_allclose(model.slope, 0.5 * basis(2), atol=1e-10)
 
     def test_nonpositive_rho_rejected(self):
-        moments = rank_one_moments(basis(2, GRID), 1.0)
-        for rho in (0.0, -1.0):
+        moments = rank_one_moments(basis(2), 1.0)
+        for rho in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ParameterError):
                 ridge_fit(moments, rho)
 
@@ -193,29 +180,22 @@ class TestRidgeFit:
     def test_solve_and_filter_routes_agree(self, rho):
         for seed in range(10):
             moments = random_psd_moments(seed)
-            spectrum = eigendecompose(moments.cov)
             via_solve = ridge_fit(moments, rho).slope
-            via_filter = ridge_filter_slope(spectrum, moments.cross_cov, rho)
-            gap = l2_norm(gf(via_solve.values - via_filter.values))
+            via_filter = ridge_path(*stack_of_one(moments), (rho,))[0, 0]
+            gap = l2_norm(via_solve - via_filter)
             assert gap <= 1e-8
 
     def test_small_rho_approaches_full_rank_pca(self):
         rng = np.random.default_rng(12)
-        grid = Grid(20)
         # spectrum bounded well away from zero so the limit is stable
         q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         w = (q * np.sqrt(np.linspace(1.0, 0.2, 20))).T
-        cov = SymmetricKernel(grid, np.einsum("ji,jk->ik", w, w) * 20)
-        moments = CenteredMoments(
-            x_mean=GridFunction(grid, np.zeros(20)),
-            y_mean=0.0,
-            cov=cov,
-            cross_cov=GridFunction(grid, rng.standard_normal(20)),
-        )
-        spectrum = eigendecompose(moments.cov)
+        cov = np.einsum("ji,jk->ik", w, w) * 20
+        moments = (np.zeros(20), 0.0, cov, rng.standard_normal(20))
+        vals, _ = eigendecompose(cov)
         ridge = ridge_fit(moments, 1e-10).slope
-        pca = pca_fit(moments, usable_rank(spectrum), spectrum=spectrum).slope
-        assert l2_norm(GridFunction(grid, ridge.values - pca.values)) <= 1e-6
+        pca = pca_fit(moments, usable_rank(vals)).slope
+        assert l2_norm(ridge - pca) <= 1e-6
 
     def test_shrinkage_monotone_in_rho(self):
         moments = random_psd_moments(77)
@@ -224,11 +204,6 @@ class TestRidgeFit:
             for rho in np.logspace(-6, 1, 15)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-def stack_of_one(spectrum, moments):
-    """The stacked kernels' arguments for a single dataset."""
-    return spectrum.eigenvalues[None], spectrum.vectors[None], moments.cross_cov.values[None]
 
 
 class TestPathKernels:
@@ -241,29 +216,28 @@ class TestPathKernels:
             SimConfig(n=n, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=40 + n)
         )
         moments = compute_moments(data)
-        spectrum = eigendecompose(moments.cov)
-        stack = stack_of_one(spectrum, moments)
+        stack = stack_of_one(moments)
+        vals = stack[0][0]
         m_max = max(DEFAULT_M_GRID)
         cut = cutoff_path(*stack, m_max)[0]
-        assert len(cut) == min(m_max, usable_rank(spectrum))
+        assert len(cut) == min(m_max, usable_rank(vals))
         if n == 5:  # five centred curves span at most four directions
             assert len(cut) <= 4
         for m in DEFAULT_M_GRID:
             if m <= len(cut):
-                fit = pca_fit(moments, m, spectrum=spectrum).slope.values
+                fit = pca_fit(moments, m).slope
                 np.testing.assert_array_equal(cut[m - 1], fit)
             else:
                 with pytest.raises(RankError):
-                    pca_fit(moments, m, spectrum=spectrum)
+                    pca_fit(moments, m)
 
         # Both ridge routes are backward stable, so they agree to a small
         # multiple of cond(cov / p + rho I) * machine epsilon.
         rhos = default_rho_grid()
         path = ridge_path(*stack, rhos)[0]
         assert path.shape == (len(rhos), GRID.p)
-        vals = spectrum.eigenvalues
         for row, rho in zip(path, rhos):
-            dense = ridge_fit(moments, rho).slope.values
+            dense = ridge_fit(moments, rho).slope
             cond = (vals[0] + rho) / (max(vals[-1], 0.0) + rho)
             gap = np.linalg.norm(row - dense) / np.linalg.norm(dense)
             assert gap <= 32 * cond * np.finfo(float).eps
@@ -276,27 +250,23 @@ class TestPathKernels:
         # eigenpairs or of its cutoff and ridge paths.
         config = SimConfig(n=60, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=9)
         moments = [compute_moments(draw_dataset(config.child(r))[0]) for r in range(5)]
-        covs = np.stack([mo.cov.values for mo in moments])
-        cross = np.stack([mo.cross_cov.values for mo in moments])
+        covs = np.stack([mo[2] for mo in moments])
+        cross = np.stack([mo[3] for mo in moments])
         vals, vecs = eigh_stack(covs)
         cut = cutoff_path(vals, vecs, cross, 20)
         ridge = ridge_path(vals, vecs, cross, default_rho_grid())
         for b, mo in enumerate(moments):
-            spectrum = eigendecompose(mo.cov)
-            np.testing.assert_array_equal(vals[b], spectrum.eigenvalues)
-            np.testing.assert_array_equal(vecs[b], spectrum.vectors)
-            one = stack_of_one(spectrum, mo)
+            one = stack_of_one(mo)
+            np.testing.assert_array_equal(vals[b], one[0][0])
+            np.testing.assert_array_equal(vecs[b], one[1][0])
             np.testing.assert_array_equal(cut[b], cutoff_path(*one, cut.shape[1])[0])
             np.testing.assert_array_equal(ridge[b], ridge_path(*one, default_rho_grid())[0])
 
     def test_ridge_path_rejects_bad_rho(self):
         moments = random_psd_moments(3)
-        spectrum = eigendecompose(moments.cov)
         for rho in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ParameterError):
-                ridge_path(*stack_of_one(spectrum, moments), (1e-2, rho))
-            with pytest.raises(ParameterError):
-                ridge_filter_slope(spectrum, moments.cross_cov, rho)
+                ridge_path(*stack_of_one(moments), (1e-2, rho))
 
 
 class TestSignInvariance:
@@ -304,23 +274,23 @@ class TestSignInvariance:
     @settings(max_examples=15, deadline=None)
     def test_flipping_any_eigenfunction_changes_nothing(self, flip_idx, seed):
         moments = random_psd_moments(seed)
-        spectrum = eigendecompose(moments.cov)
-        flipped_vecs = spectrum.vectors.copy()
-        flipped_vecs[:, flip_idx] *= -1.0
-        flipped = EigenSystem(spectrum.grid, spectrum.eigenvalues, flipped_vecs)
-        m = min(flip_idx + 1, usable_rank(spectrum))
+        vals, vecs, cross = stack_of_one(moments)
+        flipped = vecs.copy()
+        flipped[:, :, flip_idx] *= -1.0
+        m = min(flip_idx + 1, usable_rank(vals[0]))
         if m >= 1:
-            a = pca_fit(moments, m, spectrum=spectrum).slope.values
-            b = pca_fit(moments, m, spectrum=flipped).slope.values
+            a = cutoff_path(vals, vecs, cross, m)[0, -1]
+            b = cutoff_path(vals, flipped, cross, m)[0, -1]
+            np.testing.assert_array_equal(a, pca_fit(moments, m).slope)
             assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
-        a = ridge_filter_slope(spectrum, moments.cross_cov, 0.1).values
-        b = ridge_filter_slope(flipped, moments.cross_cov, 0.1).values
+        a = ridge_path(vals, vecs, cross, (0.1,))[0, 0]
+        b = ridge_path(vals, flipped, cross, (0.1,))[0, 0]
         assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
 
 
 def fitted_intercept(slope, data):
     """Average of Y_i minus the fitted functional term <slope, X_i>."""
-    return float(np.mean(data.Y - data.X @ slope.values / data.grid.p))
+    return float(np.mean(data.Y - data.X @ slope / data.grid.p))
 
 
 class TestInterceptAndPredict:
@@ -330,9 +300,9 @@ class TestInterceptAndPredict:
         data, _ = draw_dataset(
             SimConfig(n=50, sigma_eps=1.0, alpha=2.0, spacing="well_spaced", seed=5)
         )
-        moments = dataclasses.replace(compute_moments(data), cross_cov=gf(np.zeros(50)))
-        model = pca_fit(moments, 1)
-        assert np.all(model.slope.values == 0.0)
+        x_mean, y_mean, cov, _ = compute_moments(data)
+        model = pca_fit((x_mean, y_mean, cov, np.zeros(50)), 1)
+        assert np.all(model.slope == 0.0)
         assert model.intercept == pytest.approx(float(np.mean(data.Y)))
 
     def test_true_slope_noiseless_recovers_zero_intercept(self):
@@ -369,10 +339,10 @@ class TestInterceptAndPredict:
     def test_predict_trivials(self):
         from flreg.estimators import FittedModel
 
-        model = FittedModel(slope=gf(np.zeros(50)), intercept=1.5, method="ridge", parameter=1.0)
-        np.testing.assert_array_equal(predict(model, basis(3, GRID).values[None, :]), [1.5])
-        model2 = FittedModel(slope=basis(2, GRID), intercept=0.0, method="pca", parameter=1.0)
-        X = np.stack([3.0 * basis(2, GRID).values, basis(4, GRID).values])
+        model = FittedModel(slope=np.zeros(50), intercept=1.5, method="ridge", parameter=1.0)
+        np.testing.assert_array_equal(predict(model, basis(3)[None, :]), [1.5])
+        model2 = FittedModel(slope=basis(2), intercept=0.0, method="pca", parameter=1.0)
+        X = np.stack([3.0 * basis(2), basis(4)])
         np.testing.assert_allclose(predict(model2, X), [3.0, 0.0], atol=1e-12)
         assert predict(model2, np.empty((0, 50))).shape == (0,)
 
@@ -386,12 +356,12 @@ class TestInterceptAndPredict:
         assert preds.shape == (30,)
         np.testing.assert_allclose(preds, data.Y, rtol=0.0, atol=1e-12)
         for x, y in zip(data.X, preds):
-            assert y == pytest.approx(inner_product(model.slope, GridFunction(GRID, x)))
+            assert y == pytest.approx(sum(b * v for b, v in zip(model.slope, x)) / GRID.p)
 
     def test_grid_mismatch(self):
         from flreg.estimators import FittedModel
 
-        model = FittedModel(slope=gf(np.zeros(50)), intercept=0.0, method="ridge", parameter=1.0)
+        model = FittedModel(slope=np.zeros(50), intercept=0.0, method="ridge", parameter=1.0)
         for X in (np.zeros((3, 20)), np.zeros(50)):
             with pytest.raises(DimensionMismatchError):
                 predict(model, X)
@@ -411,7 +381,7 @@ class TestModelFile:
         assert restored.method == model.method
         assert restored.parameter == model.parameter
         assert restored.intercept == model.intercept
-        np.testing.assert_array_equal(restored.slope.values, model.slope.values)
+        np.testing.assert_array_equal(restored.slope, model.slope)
 
     def test_malformed_header_rejected(self):
         from flreg import DataFormatError
@@ -422,3 +392,7 @@ class TestModelFile:
             model_from_text("method=spline\nm=1\nintercept=0\np=2\n0\n0\n")
         with pytest.raises(DataFormatError):
             model_from_text("method=pca\nm=1\nintercept=0\np=3\n0\n0\n")
+        for text in ("method=pca\nm=1\nintercept=0\np=1\n0\n",
+                     "method=ridge\nrho=1\nintercept=0\np=0\n"):
+            with pytest.raises(DataFormatError, match="p >= 2"):
+                model_from_text(text)

@@ -9,32 +9,34 @@ from flreg import (
     Grid,
     ParameterError,
     SimConfig,
-    basis,
+    basis_matrix,
     draw_dataset,
     eigendecompose,
     gamma_sequence,
-    inner_product,
     true_slope,
     truth_bundle,
 )
-from flreg.simulation import (
-    basis_matrix,
-    dataset_from_csv,
-    dataset_to_csv,
-    slope_coefficients,
-)
+from flreg.simulation import dataset_from_csv, dataset_to_csv, slope_coefficients
 
 GRID = Grid(50)
 
 
+def basis(j, grid):
+    """Per-row reference: the j-th basis function, constant for j = 1 and
+    sqrt(2) cos((j - 1) pi t) after."""
+    if j == 1:
+        return np.ones(grid.p)
+    return math.sqrt(2.0) * np.cos((j - 1) * math.pi * grid.points)
+
+
 class TestBasis:
     def test_first_function_is_constant_one(self):
-        assert np.all(basis(1, GRID).values == 1.0)
+        assert np.all(basis_matrix(GRID, 1)[0] == 1.0)
 
     def test_second_function_vanishes_at_midpoint(self):
         # p = 25 puts t = 0.5 on the grid; cos(pi/2) = 0
         grid = Grid(25)
-        values = basis(2, grid).values
+        values = basis_matrix(grid, 2)[1]
         assert abs(values[12]) < 1e-15
 
     def test_discrete_orthonormality(self):
@@ -45,14 +47,16 @@ class TestBasis:
     @pytest.mark.parametrize("p,count", [(2, 1), (2, 2), (7, 4), (50, 50), (101, 60)])
     def test_matrix_rows_are_the_basis_functions(self, p, count):
         grid = Grid(p)
-        per_row = np.stack([basis(j, grid).values for j in range(1, count + 1)])
+        per_row = np.stack([basis(j, grid) for j in range(1, count + 1)])
         np.testing.assert_array_equal(basis_matrix(grid, count), per_row)
 
     def test_out_of_range_index(self):
         with pytest.raises(ParameterError):
-            basis(0, GRID)
+            basis_matrix(GRID, 0)
         with pytest.raises(ParameterError):
-            basis(51, GRID)
+            basis_matrix(GRID, 51)
+        with pytest.raises(ParameterError):
+            true_slope(GRID, 51)
 
 
 class TestTrueSlope:
@@ -63,7 +67,8 @@ class TestTrueSlope:
 
     def test_projection_onto_third_basis_function(self):
         b = true_slope(GRID, 50)
-        assert inner_product(b, basis(3, GRID)) == pytest.approx(4.0 / 9.0, abs=1e-10)
+        assert b.shape == (50,)
+        assert float(b @ basis(3, GRID)) / GRID.p == pytest.approx(4.0 / 9.0, abs=1e-10)
 
 
 class TestGammaSequence:
@@ -90,13 +95,15 @@ class TestTruthBundle:
         direct = sum(
             g**2 * np.outer(B[j], B[j]) for j, g in enumerate(truth.gamma)
         )
-        assert np.max(np.abs(truth.kernel.values - direct)) <= 1e-10
+        assert np.max(np.abs(truth.kernel - direct)) <= 1e-10
+        assert np.array_equal(truth.kernel, truth.kernel.T)
+        assert not truth.kernel.flags.writeable and not truth.slope.flags.writeable
 
     def test_well_spaced_spectrum_recovered(self):
         cfg = SimConfig(n=10, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=0)
         truth = truth_bundle(cfg)
-        sys = eigendecompose(truth.kernel)
-        assert np.max(np.abs(sys.eigenvalues - truth.eigenvalues)) <= 1e-8
+        vals, _ = eigendecompose(truth.kernel)
+        assert np.max(np.abs(vals - truth.eigenvalues)) <= 1e-8
 
     def test_closely_spaced_blocks_nearly_tied(self):
         # designed 5-blocks at sorted ranks 5-9, 10-14, ..., 45-49 (1-based);
@@ -153,7 +160,7 @@ class TestDrawDataset:
         )
         data, truth = draw_dataset(cfg)
         grid = Grid(10)
-        B = np.stack([basis(j, grid).values for j in range(1, 5)])
+        B = basis_matrix(grid, 4)
         scores = data.X @ B.T / grid.p / truth.gamma  # (n, 4)
         n = cfg.n
         assert np.max(np.abs(scores.mean(axis=0))) < 3.0 / math.sqrt(n)
@@ -169,7 +176,7 @@ class TestDrawDataset:
         )
         data, truth = draw_dataset(cfg)
         grid = Grid(10)
-        B = np.stack([basis(j, grid).values for j in range(1, 5)])
+        B = basis_matrix(grid, 4)
         comps = data.X @ B.T / grid.p  # xi_ij = gamma_j Z_ij
         emp_var = np.mean(comps**2, axis=0)
         kappa = truth.gamma**2
@@ -238,6 +245,9 @@ class TestDatasetCsv:
                 dataset_from_csv(f"# grid=midpoint p=2\nx_1,x_2,y\n1,2,{cell}\n")
         with pytest.raises(DataFormatError):
             dataset_from_csv("# grid=midpoint p=2\nx_1,x_3,y\n1,2,3\n")
+        for text in ("# grid=midpoint p=1\nx_1,y\n1,2\n", "# grid=midpoint p=0\ny\n1\n"):
+            with pytest.raises(DataFormatError, match="p >= 2"):
+                dataset_from_csv(text)
 
     def test_y_column_optional_only_on_request(self):
         text = "# grid=midpoint p=2\nx_1,x_2\n1,2\n"

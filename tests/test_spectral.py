@@ -7,34 +7,35 @@ from hypothesis import strategies as st
 
 from flreg import (
     DegenerateSpectrumError,
-    EigenSystem,
+    DimensionMismatchError,
     Grid,
-    GridFunction,
     SimConfig,
-    SymmetricKernel,
     align_signs,
     compute_moments,
     draw_dataset,
     eigendecompose,
-    hs_norm,
-    inner_product,
     perturbation_report,
     resolvent_identity_residual,
     truth_bundle,
+    usable_rank,
 )
 from flreg.spectral import report_to_tsv
 
 
 def random_symmetric_kernel(grid, rng, scale=1.0):
     raw = rng.standard_normal((grid.p, grid.p)) * scale
-    return SymmetricKernel(grid, raw + raw.T)
+    return raw + raw.T
 
 
 def kernel_from_spectrum(grid, eigenvalues, rng):
     """Exactly symmetric kernel with prescribed operator eigenvalues."""
     q, _ = np.linalg.qr(rng.standard_normal((grid.p, grid.p)))
     w = (q * np.sqrt(eigenvalues)).T
-    return SymmetricKernel(grid, np.einsum("ji,jk->ik", w, w) * grid.p)
+    return np.einsum("ji,jk->ik", w, w) * grid.p
+
+
+def cov_of(data):
+    return compute_moments(data)[2]
 
 
 WELL = SimConfig(n=500, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=11)
@@ -42,75 +43,73 @@ WELL = SimConfig(n=500, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=11
 
 class TestEigendecompose:
     def test_zero_kernel(self):
-        grid = Grid(10)
-        sys = eigendecompose(SymmetricKernel(grid, np.zeros((10, 10))))
-        assert np.all(sys.eigenvalues == 0.0)
-        assert np.all(sys.null_mask)
+        vals, vecs = eigendecompose(np.zeros((10, 10)))
+        assert np.all(vals == 0.0)
+        assert usable_rank(vals) == 0
+        assert vecs.shape == (10, 10)
 
     def test_well_spaced_truth_recovers_power_law(self):
-        sys = eigendecompose(truth_bundle(WELL).kernel)
+        vals, _ = eigendecompose(truth_bundle(WELL).kernel)
         expected = np.arange(1, 51, dtype=float) ** -2.0
-        assert np.max(np.abs(sys.eigenvalues - expected)) <= 1e-8
+        assert np.max(np.abs(vals - expected)) <= 1e-8
 
     def test_closely_spaced_leading_pair(self):
         cfg = SimConfig(n=10, sigma_eps=0.0, alpha=2.0, spacing="closely_spaced", seed=0)
-        sys = eigendecompose(truth_bundle(cfg).kernel)
-        assert sys.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
+        vals, _ = eigendecompose(truth_bundle(cfg).kernel)
+        assert vals[0] == pytest.approx(1.0, abs=1e-10)
         # evaluate the design formula directly and square
-        assert sys.eigenvalues[1] == pytest.approx((0.2 * (1 - 0.0002)) ** 2, abs=1e-10)
+        assert vals[1] == pytest.approx((0.2 * (1 - 0.0002)) ** 2, abs=1e-10)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         grid = Grid(30)
         kernel = random_symmetric_kernel(grid, rng)
-        sys = eigendecompose(kernel)
-        recon = np.einsum("j,uj,vj->uv", sys.eigenvalues, sys.vectors, sys.vectors)
-        err = np.sqrt(np.sum((recon - kernel.values) ** 2)) / grid.p
-        assert err <= 1e-8 * (1.0 + hs_norm(kernel))
+        vals, vecs = eigendecompose(kernel)
+        recon = np.einsum("j,uj,vj->uv", vals, vecs, vecs)
+        err = np.sqrt(np.sum((recon - kernel) ** 2)) / grid.p
+        assert err <= 1e-8 * (1.0 + np.sqrt(np.sum(kernel**2)) / grid.p)
 
     def test_eigenfunctions_orthonormal_in_quadrature(self):
         rng = np.random.default_rng(6)
         grid = Grid(25)
-        sys = eigendecompose(random_symmetric_kernel(grid, rng))
-        gram = sys.vectors.T @ sys.vectors / grid.p
+        _, vecs = eigendecompose(random_symmetric_kernel(grid, rng))
+        gram = vecs.T @ vecs / grid.p
         assert np.max(np.abs(gram - np.eye(grid.p))) <= 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(7)
         grid = Grid(40)
-        sys = eigendecompose(random_symmetric_kernel(grid, rng))
-        f = GridFunction(grid, rng.standard_normal(grid.p))
-        coords = sys.vectors.T @ f.values / grid.p
-        assert np.sum(coords**2) == pytest.approx(inner_product(f, f), abs=1e-8)
+        _, vecs = eigendecompose(random_symmetric_kernel(grid, rng))
+        f = rng.standard_normal(grid.p)
+        coords = vecs.T @ f / grid.p
+        assert np.sum(coords**2) == pytest.approx(float(f @ f) / grid.p, abs=1e-8)
 
     def test_empirical_covariance_is_psd(self):
         data, _ = draw_dataset(WELL)
-        sys = eigendecompose(compute_moments(data).cov)
-        assert np.min(sys.eigenvalues) >= -1e-10 * sys.eigenvalues[0]
+        vals, _ = eigendecompose(cov_of(data))
+        assert np.min(vals) >= -1e-10 * vals[0]
 
 
 class TestSignConventions:
     def test_align_to_self_is_identity(self):
-        sys = eigendecompose(truth_bundle(WELL).kernel)
-        aligned = align_signs(sys, sys)
-        np.testing.assert_array_equal(aligned.vectors, sys.vectors)
+        _, vecs = eigendecompose(truth_bundle(WELL).kernel)
+        np.testing.assert_array_equal(align_signs(vecs, vecs), vecs)
 
     def test_align_flips_negated_function(self):
-        sys = eigendecompose(truth_bundle(WELL).kernel)
-        flipped_vecs = sys.vectors.copy()
+        _, vecs = eigendecompose(truth_bundle(WELL).kernel)
+        flipped_vecs = vecs.copy()
         flipped_vecs[:, 0] *= -1.0
-        candidate = align_signs(EigenSystem(sys.grid, sys.eigenvalues, flipped_vecs), sys)
-        np.testing.assert_array_equal(candidate.vectors, sys.vectors)
+        np.testing.assert_array_equal(align_signs(flipped_vecs, vecs), vecs)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_alignment_makes_overlaps_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         grid = Grid(12)
-        ref = eigendecompose(random_symmetric_kernel(grid, rng))
-        per = eigendecompose(random_symmetric_kernel(grid, rng))
+        _, ref = eigendecompose(random_symmetric_kernel(grid, rng))
+        _, per = eigendecompose(random_symmetric_kernel(grid, rng))
         aligned = align_signs(per, ref)
-        overlaps = np.einsum("ij,ij->j", aligned.vectors, ref.vectors) / grid.p
+        overlaps = np.einsum("ij,ij->j", aligned, ref) / grid.p
         assert np.all(overlaps >= 0.0)
 
 
@@ -126,10 +125,10 @@ class TestPerturbationReport:
 
     def test_rank_one_shift_moves_one_eigenvalue(self):
         kernel = truth_bundle(WELL).kernel
-        sys = eigendecompose(kernel)
+        _, vecs = eigendecompose(kernel)
         c = 0.01
-        v = sys.vectors[:, 0]
-        shifted = SymmetricKernel(kernel.grid, kernel.values + c * np.outer(v, v))
+        v = vecs[:, 0]
+        shifted = kernel + c * np.outer(v, v)
         report = perturbation_report(kernel, shifted, 10)
         assert report.max_eigen_gap == pytest.approx(c, abs=1e-8)
         assert report.hs_gap == pytest.approx(c, abs=1e-8)
@@ -140,13 +139,13 @@ class TestPerturbationReport:
                 n=500, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=100 + rep
             )
             data, truth = draw_dataset(cfg)
-            report = perturbation_report(truth.kernel, compute_moments(data).cov, 10)
+            report = perturbation_report(truth.kernel, cov_of(data), 10)
             assert min(r.slack_eigenvalue for r in report.rows) >= -1e-8
             assert min(r.slack_eigenfunction for r in report.rows) >= -1e-8
 
     def test_min_gap_nonincreasing(self):
         data, truth = draw_dataset(WELL)
-        report = perturbation_report(truth.kernel, compute_moments(data).cov, 15)
+        report = perturbation_report(truth.kernel, cov_of(data), 15)
         gaps = [r.min_gap for r in report.rows]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
@@ -157,9 +156,18 @@ class TestPerturbationReport:
         with pytest.raises(DegenerateSpectrumError):
             perturbation_report(tied, tied, 5)
 
+    def test_kernels_must_be_square_and_alike(self):
+        kernel = truth_bundle(WELL).kernel
+        pairs = ((kernel, kernel[:9, :9]), (kernel[0], kernel[0]), (kernel[:, :9], kernel[:, :9]))
+        for a, b in pairs:
+            with pytest.raises(DimensionMismatchError):
+                perturbation_report(a, b, 5)
+            with pytest.raises(DimensionMismatchError):
+                resolvent_identity_residual(a, b, 1)
+
     def test_tsv_serialization(self):
         data, truth = draw_dataset(WELL)
-        report = perturbation_report(truth.kernel, compute_moments(data).cov, 5)
+        report = perturbation_report(truth.kernel, cov_of(data), 5)
         text = report_to_tsv(report)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# hs_gap=")
@@ -180,7 +188,7 @@ class TestResolventIdentity:
             rng = np.random.default_rng(200 + rep)
             kernel = kernel_from_spectrum(grid, np.linspace(2.0, 0.5, 20), rng)
             bump = rng.standard_normal((20, 20)) * 1e-3
-            other = SymmetricKernel(grid, kernel.values + np.einsum("ik,jk->ij", bump, bump))
+            other = kernel + np.einsum("ik,jk->ij", bump, bump)
             j = int(rng.integers(1, 21))
             assert resolvent_identity_residual(kernel, other, j) <= 1e-6
 
@@ -195,15 +203,10 @@ class TestResolventIdentity:
 
     def test_pythagoras_for_unit_eigenfunctions(self):
         data, truth = draw_dataset(WELL)
-        ref = eigendecompose(truth.kernel)
-        per = align_signs(eigendecompose(compute_moments(data).cov), ref)
+        _, ref = eigendecompose(truth.kernel)
+        per = align_signs(eigendecompose(cov_of(data))[1], ref)
+        p = WELL.p
         for j in range(10):
-            phi = GridFunction(ref.grid, ref.vectors[:, j])
-            psi = GridFunction(ref.grid, per.vectors[:, j])
-            dist_sq = inner_product(
-                GridFunction(ref.grid, psi.values - phi.values),
-                GridFunction(ref.grid, psi.values - phi.values),
-            )
-            assert dist_sq == pytest.approx(
-                2.0 * (1.0 - inner_product(psi, phi)), abs=1e-10
-            )
+            phi, psi = ref[:, j], per[:, j]
+            dist_sq = float((psi - phi) @ (psi - phi)) / p
+            assert dist_sq == pytest.approx(2.0 * (1.0 - float(psi @ phi) / p), abs=1e-10)
