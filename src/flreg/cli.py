@@ -5,10 +5,11 @@ dataset CSV), predict (apply a model file to new curves), mc-table (Monte
 Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
-Exit codes: 0 success, 2 usage, 3 data format, 4 numeric/precondition,
-5 I/O.  File outputs are written to temporary files and atomically
-renamed, so a failing run never leaves a partial output behind; a command
-with two outputs (mc-table --out --profile) writes both or neither.
+Exit codes: 0 success, 2 usage, 3 data format, 4 numeric/precondition
+(out of memory included), 5 I/O.  File outputs are written to temporary
+files and atomically renamed, so a failing run never leaves a partial
+output behind; a command with two outputs (mc-table --out --profile)
+writes both or neither.
 """
 
 from __future__ import annotations
@@ -315,15 +316,17 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # Overflow is reported by the finiteness checks, not by numpy warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"flreg: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:
         print(f"flreg: data format error: {exc}", file=sys.stderr)
         return EXIT_DATA_FORMAT
-    except (FlregError, np.linalg.LinAlgError) as exc:
-        print(f"flreg: {exc}", file=sys.stderr)
+    except (FlregError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"flreg: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"flreg: i/o error: {exc}", file=sys.stderr)

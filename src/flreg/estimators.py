@@ -13,13 +13,13 @@ every candidate at once, for a whole (B, ...) stack of datasets:
   so the estimates are exactly nested in m; ``pca_fit`` is one of its rows
   on a stack of one.
 * ``ridge_path`` (Tikhonov ridge, smoothing parameter rho) weights all p
-  eigenpairs by 1 / (eigenvalue_j + rho) in one batched matrix product.
-  ``ridge_fit`` instead solves (cov + rho * identity) slope = cross_cov
-  densely: the single-fit route, and the oracle the spectral filter is
-  checked against.
+  eigenpairs by 1 / (eigenvalue_j + rho) in one batched matrix product;
+  ``ridge_fit`` is one of its rows on a stack of one.
 
 The kernels apply the same operations to every matrix of a stack, so a
-dataset's estimates do not depend on which stack it was solved in.
+dataset's estimates do not depend on which stack it was solved in, and a
+single fit is the harness's estimate for the same data and candidate (for a
+ridge, up to the summation order of the product over the rho grid).
 
 The single fits take the moments as the 4-tuple (x_mean (p,), y_mean,
 cov (p, p), cross_cov (p,)) that ``moment_arrays`` and ``compute_moments``
@@ -185,46 +185,49 @@ def _fitted(slope: np.ndarray, moments: Moments, method: str, parameter: float) 
     return FittedModel(slope=slope, intercept=intercept, method=method, parameter=float(parameter))
 
 
+def _stack_of_one(moments: Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The path kernels' arguments for one dataset: the eigendecomposition
+    of the moments' covariance and their cross-covariance, as stacks of one."""
+    _, _, cov, cross = moments
+    vals, vecs = eigendecompose(cov)
+    return vals[None], vecs[None], np.asarray(cross)[None]
+
+
 def pca_fit(moments: Moments, m: int) -> FittedModel:
     """Spectral-cutoff slope estimate using the top m empirical eigenpairs of
     the moments' covariance, the m-th row of ``cutoff_path`` on a stack of
     one."""
-    _, _, cov, cross = moments
-    vals, vecs = eigendecompose(cov)
-    rank = usable_rank(vals)
+    vals, vecs, cross = _stack_of_one(moments)
+    rank = usable_rank(vals[0])
     if not 1 <= m <= rank:
         raise RankError(
             f"cutoff m={m} outside the usable spectral rank; "
             f"largest admissible m is {rank}"
         )
-    path = cutoff_path(vals[None], vecs[None], np.asarray(cross)[None], m)
-    return _fitted(path[0, -1], moments, "pca", m)
+    return _fitted(cutoff_path(vals, vecs, cross, m)[0, -1], moments, "pca", m)
 
 
 def ridge_fit(moments: Moments, rho: float) -> FittedModel:
-    """Tikhonov-regularised slope estimate.
-
-    Solves the p x p system (cov / p + rho * identity) slope = cross_cov,
-    the grid discretisation of the regularised operator equation.  ``rho``
-    must be finite and strictly positive, which makes the system
-    nonsingular.
-    """
+    """Tikhonov-regularised slope estimate, the solution of the p x p system
+    (cov / p + rho * identity) slope = cross_cov: the row of ``ridge_path``
+    for ``rho`` on a stack of one.  ``rho`` must be finite and strictly
+    positive, which makes the system nonsingular."""
     if not 0.0 < rho < math.inf:
         raise ParameterError(f"ridge parameter must be finite and positive, got {rho}")
-    _, _, cov, cross = moments
-    p = cov.shape[0]
-    slope = np.linalg.solve(cov / p + rho * np.eye(p), cross)
-    return _fitted(slope, moments, "ridge", rho)
+    return _fitted(ridge_path(*_stack_of_one(moments), (rho,))[0, 0], moments, "ridge", rho)
 
 
 def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
     """Plug-in predictions intercept + <slope, X_i> for the rows of the
-    (n, p) matrix ``X``."""
+    (n, p) matrix ``X``; raises ``ParameterError`` if any overflows."""
     X = np.asarray(X, dtype=float)
     p = model.slope.size
     if X.ndim != 2 or X.shape[1] != p:
         raise DimensionMismatchError(f"X has shape {X.shape}, expected (n, {p})")
-    return model.intercept + X @ model.slope / p
+    y = model.intercept + X @ model.slope / p
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("predictions overflow to non-finite values")
+    return y
 
 
 def model_to_text(model: FittedModel) -> str:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,22 +124,6 @@ def integrated_bias_var(
     return bias2, var
 
 
-def _best_m(profile: dict[int, float]) -> int:
-    best_m, best = None, np.inf
-    for m in sorted(profile):  # ascending: ties keep the smaller m
-        if profile[m] < best:
-            best, best_m = profile[m], m
-    return best_m
-
-
-def _best_rho(profile: dict[float, float]) -> float:
-    best_rho, best = None, np.inf
-    for rho in sorted(profile, reverse=True):  # descending: ties keep the larger rho
-        if profile[rho] < best:
-            best, best_rho = profile[rho], rho
-    return best_rho
-
-
 def _replication_moments(
     config: SimConfig, truth: TruthBundle, reps: range
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +184,11 @@ def mc_run(
     starts = range(0, replications, CHUNK)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            ranks = list(pool.map(solve_chunk, starts))
+            # Each chunk runs in its own copy of the caller's context, so under
+            # the caller's numpy error state.
+            contexts = [copy_context() for _ in starts]
+            ranks = list(pool.map(lambda ctx, start: ctx.run(solve_chunk, start),
+                                  contexts, starts))
     else:
         ranks = [solve_chunk(start) for start in starts]
 
@@ -208,27 +197,27 @@ def mc_run(
     valid_m = [m for m in m_grid if m <= rank]
     if not valid_m:
         raise RankError("every cutoff candidate exceeded the usable rank")
-    pca_parts = integrated_bias_var(cuts[[m - 1 for m in valid_m]], target, p)
-    ridge_parts = integrated_bias_var(ridges, target, p)
-    pca_errors = {m: (float(b), float(v)) for m, b, v in zip(valid_m, *pca_parts)}
-    ridge_errors = {rho: (float(b), float(v)) for rho, b, v in zip(rho_grid, *ridge_parts)}
-    pca_mise = {m: bias2 + var for m, (bias2, var) in pca_errors.items()}
-    ridge_mise = {rho: bias2 + var for rho, (bias2, var) in ridge_errors.items()}
-    m_star, rho_star = _best_m(pca_mise), _best_rho(ridge_mise)
+    pca_bias2, pca_var = integrated_bias_var(cuts[[m - 1 for m in valid_m]], target, p)
+    ridge_bias2, ridge_var = integrated_bias_var(ridges, target, p)
+    pca_mise, ridge_mise = pca_bias2 + pca_var, ridge_bias2 + ridge_var
+    # argmin takes the first minimum: ties keep the smaller m and, over the
+    # reversed rho grid, the larger rho.
+    i = int(np.argmin(pca_mise))
+    k = len(rho_grid) - 1 - int(np.argmin(ridge_mise[::-1]))
 
     return McResult(
         config=config,
         replications=replications,
-        m_star=m_star,
-        rho_star=rho_star,
-        bias2_pca=pca_errors[m_star][0],
-        bias2_ridge=ridge_errors[rho_star][0],
-        var_pca=pca_errors[m_star][1],
-        var_ridge=ridge_errors[rho_star][1],
-        mise_pca=pca_mise[m_star],
-        mise_ridge=ridge_mise[rho_star],
-        m_profile=tuple(pca_mise.items()),
-        rho_profile=tuple(ridge_mise.items()),
+        m_star=valid_m[i],
+        rho_star=rho_grid[k],
+        bias2_pca=float(pca_bias2[i]),
+        bias2_ridge=float(ridge_bias2[k]),
+        var_pca=float(pca_var[i]),
+        var_ridge=float(ridge_var[k]),
+        mise_pca=float(pca_mise[i]),
+        mise_ridge=float(ridge_mise[k]),
+        m_profile=tuple(zip(valid_m, pca_mise.tolist())),
+        rho_profile=tuple(zip(rho_grid, ridge_mise.tolist())),
         excluded_m=tuple(m for m in m_grid if m > rank),
     )
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_ridge import dense_ridge
 from flreg import (
     Grid,
     SimConfig,
@@ -25,7 +26,6 @@ from flreg import (
     perturbation_report,
     rate_fit,
     resolvent_identity_residual,
-    ridge_fit,
     truth_bundle,
 )
 from flreg.cli import run
@@ -101,7 +101,7 @@ def test_criterion_3_ridge_spectral_equivalence():
         moments = (np.zeros(p), 0.0, np.einsum("ik,jk->ij", w, w) / p, rng.standard_normal(p))
         vals, vecs = eigendecompose(moments[2])
         for rho in (1e-4, 1e-2, 1.0):
-            solve = ridge_fit(moments, rho).slope
+            solve = dense_ridge(moments, rho)
             filt = ridge_path(vals[None], vecs[None], moments[3][None], (rho,))[0, 0]
             gap = math.sqrt(float(np.dot(solve - filt, solve - filt)) / p)
             worst = max(worst, gap)

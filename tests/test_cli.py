@@ -1,10 +1,16 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flreg
 import flreg.cli
@@ -215,6 +221,44 @@ class TestErrorPaths:
             assert "UTF-8" in err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("argv,message", [
+        (["predict", "--model", "{tmp}/big.model", "--data", "{tmp}/tens.csv"],
+         "predictions overflow"),
+        (["fit", "--data", "{tmp}/huge.csv", "--method", "pca", "--m", "1"], "kernel stack"),
+        (["fit", "--data", "{tmp}/huge.csv", "--method", "ridge", "--rho", "0.1"],
+         "kernel stack"),
+        (["simulate", "--n", "5", "--sigma", "1e308", "--alpha", "2", "--spacing", "well"],
+         "Y contains non-finite"),
+        (["mc-table", "--spacing", "well", "--sigma", "1e308", "--n", "5", "--alpha", "2",
+          "--reps", "130", "--threads", "2"], "replication cross-covariances"),
+    ])
+    def test_overflow_is_one_line(self, tmp_path, capsys, argv, message):
+        # Finite inputs whose prediction, moments or noise overflow: the
+        # finiteness checks give the only stderr line, from mc-table's worker
+        # threads too.
+        (tmp_path / "big.model").write_text("method=pca\nm=1\nintercept=0\np=2\n1e308\n1e308\n")
+        (tmp_path / "tens.csv").write_text("# grid=midpoint p=2\nx_1,x_2\n10,10\n")
+        rows = "1e200,-2e200,3e200,1\n-1e200,2e200,-3e200,2\n" * 3
+        (tmp_path / "huge.csv").write_text("# grid=midpoint p=3\nx_1,x_2,x_3,y\n" + rows)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+            assert run([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("flreg: " + message) and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def no_memory(config, truth):
+            raise MemoryError()
+
+        monkeypatch.setattr(flreg.simulation, "draw_xy", no_memory)
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--n", "5", "--sigma", "1", "--alpha", "2",
+                    "--spacing", "well", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "flreg: out of memory\n"
+        assert not out.exists()
+
     def test_unreadable_input_is_io_error(self, tmp_path):
         out = tmp_path / "model.txt"
         assert run(["fit", "--data", str(tmp_path / "absent.csv"), "--method",
@@ -385,3 +429,96 @@ class TestScripts:
                     "--reps", "3", "--seed", "7", "--threads", "1", "--out", str(out)]) == 0
         assert self.script("rate_study.py", "--n", "30,60,120", "--reps", "3",
                            "--threads", "1") == read(out)
+
+
+FUZZ_DATA = (
+    b"# grid=midpoint p=3\nx_1,x_2,x_3,y\n0.5,-1.25,2,0.75\n1.5,0.25,-0.5,1\n"
+    b"-0.75,1,0.125,-0.5\n2,-0.5,1.75,2.25\n0.25,0.75,-1.5,0.5\n"
+)
+FUZZ_MODEL = b"method=ridge\nrho=0.10000000000000001\nintercept=0.5\np=3\n1.5\n-0.25\n2\n"
+FUZZ_COMMANDS = (
+    ("fit", "--data", "data.csv", "--method", "pca", "--m", "2", "--out", "out"),
+    ("fit", "--data", "data.csv", "--method", "ridge", "--rho", "0.1", "--out", "out"),
+    ("predict", "--model", "model.txt", "--data", "data.csv", "--out", "out"),
+    ("simulate", "--n", "5", "--sigma", "0.5", "--alpha", "2", "--spacing", "well",
+     "--p", "4", "--terms", "3", "--out", "out"),
+    ("diagnose", "--n", "8", "--alpha", "2", "--spacing", "well", "--j-max", "2",
+     "--out", "out"),
+    ("mc-table", "--spacing", "closely", "--sigma", "0.5", "--n", "8", "--alpha", "2",
+     "--reps", "3", "--threads", "2", "--m-max", "2", "--rho-count", "2", "--out", "out"),
+)
+# Replacement argv tokens: all small, so no mutation asks for a large run.
+FUZZ_VALUES = ("", "0", "-0", "-1", "1", "2", "0.5", "1e308", "1e309", "nan", "inf",
+               "abc", "\ufeff2", "\udcff", "--out")
+NUMBER = re.compile(rb"[-+0-9.e]+")
+
+
+def mutate_bytes(text, kind, at):
+    """One mutation of a data or model file's bytes, placed by ``at``."""
+    if kind == "utf8":
+        return text[: at % (len(text) + 1)] + b"\xff" + text[at % (len(text) + 1):]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    if kind == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    if kind == "truncate":
+        return text[: at % (len(text) + 1)]
+    cells = list(NUMBER.finditer(text))
+    if not cells:
+        return text
+    cell = cells[at % len(cells)]
+    value = {"empty": b"", "inf": b"1e309", "max": b"1e308", "negzero": b"-0"}[kind]
+    return text[: cell.start()] + value + text[cell.end():]
+
+
+class TestCliFuzz:
+    @given(
+        command=st.sampled_from(FUZZ_COMMANDS),
+        argv_edits=st.lists(
+            st.tuples(st.integers(0, 30), st.none() | st.sampled_from(FUZZ_VALUES)),
+            max_size=2,
+        ),
+        file_edits=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(("utf8", "bom", "crlf", "truncate", "empty", "inf",
+                                 "max", "negzero")),
+                st.integers(0, 400),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_input_maps_to_a_documented_exit(self, command, argv_edits, file_edits):
+        # Mutated argv tokens (None drops one) and file bytes: every run
+        # exits 0/2/3/4/5 without a traceback or a numpy warning, a
+        # data/numeric/I-O failure says so in one line, and a failed run
+        # leaves nothing behind.
+        argv = list(command)
+        for at, value in argv_edits:
+            if value is None:
+                del argv[at % len(argv)]
+            else:
+                argv[at % len(argv)] = value
+        files = {"data.csv": FUZZ_DATA, "model.txt": FUZZ_MODEL}
+        for in_model, kind, at in file_edits:
+            name = "model.txt" if in_model else "data.csv"
+            files[name] = mutate_bytes(files[name], kind, at)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            for name, text in files.items():
+                with open(name, "wb") as handle:
+                    handle.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    status = run(argv)
+            left = sorted(os.listdir("."))
+        err = err.getvalue()
+        assert status in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err
+        assert not [name for name in left if name.startswith(".flreg-")]
+        if status != 0:
+            assert left == sorted(files)
+        if status in (3, 4, 5):
+            assert err.count("\n") == 1, err

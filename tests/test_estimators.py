@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_ridge import dense_ridge
 from flreg import (
     Dataset,
     DimensionMismatchError,
@@ -180,7 +181,7 @@ class TestRidgeFit:
     def test_solve_and_filter_routes_agree(self, rho):
         for seed in range(10):
             moments = random_psd_moments(seed)
-            via_solve = ridge_fit(moments, rho).slope
+            via_solve = dense_ridge(moments, rho)
             via_filter = ridge_path(*stack_of_one(moments), (rho,))[0, 0]
             gap = l2_norm(via_solve - via_filter)
             assert gap <= 1e-8
@@ -231,13 +232,13 @@ class TestPathKernels:
                 with pytest.raises(RankError):
                     pca_fit(moments, m)
 
-        # Both ridge routes are backward stable, so they agree to a small
-        # multiple of cond(cov / p + rho I) * machine epsilon.
+        # The filter and the dense solve are both backward stable, so they
+        # agree to a small multiple of cond(cov / p + rho I) * machine epsilon.
         rhos = default_rho_grid()
         path = ridge_path(*stack, rhos)[0]
         assert path.shape == (len(rhos), GRID.p)
         for row, rho in zip(path, rhos):
-            dense = ridge_fit(moments, rho).slope
+            dense = dense_ridge(moments, rho)
             cond = (vals[0] + rho) / (max(vals[-1], 0.0) + rho)
             gap = np.linalg.norm(row - dense) / np.linalg.norm(dense)
             assert gap <= 32 * cond * np.finfo(float).eps
@@ -261,6 +262,28 @@ class TestPathKernels:
             np.testing.assert_array_equal(vecs[b], one[1][0])
             np.testing.assert_array_equal(cut[b], cutoff_path(*one, cut.shape[1])[0])
             np.testing.assert_array_equal(ridge[b], ridge_path(*one, default_rho_grid())[0])
+
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    def test_single_fits_are_rows_of_a_multi_dataset_stack(self, spacing):
+        # A fit is its dataset's row of the path kernels on a stack of many
+        # datasets, the shape the Monte Carlo harness solves per chunk.
+        config = SimConfig(n=40, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=23)
+        moments = [compute_moments(draw_dataset(config.child(r))[0]) for r in range(6)]
+        vals, vecs = eigh_stack(np.stack([mo[2] for mo in moments]))
+        cross = np.stack([mo[3] for mo in moments])
+        rhos = default_rho_grid()
+        cut = cutoff_path(vals, vecs, cross, 20)
+        ridge = ridge_path(vals, vecs, cross, rhos)
+        for b, mo in enumerate(moments):
+            for m in range(1, cut.shape[1] + 1):
+                np.testing.assert_array_equal(pca_fit(mo, m).slope, cut[b, m - 1])
+            for k, rho in enumerate(rhos):
+                fit = ridge_fit(mo, rho).slope
+                np.testing.assert_array_equal(fit, ridge_path(vals, vecs, cross, (rho,))[b, 0])
+                # Several rho make the final product a gemm, not a gemv: the
+                # same terms, summed in another order.
+                gap = np.max(np.abs(fit - ridge[b, k]))
+                assert gap <= GRID.p * np.finfo(float).eps * np.max(np.abs(fit))
 
     def test_ridge_path_rejects_bad_rho(self):
         moments = random_psd_moments(3)

@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from dense_ridge import dense_ridge
 from flreg import (
     McResult,
     ParameterError,
@@ -14,13 +15,10 @@ from flreg import (
     mc_run,
     pca_fit,
     rate_fit,
-    ridge_fit,
 )
 from flreg import evaluation
 from flreg.evaluation import (
     DEFAULT_M_GRID,
-    _best_m,
-    _best_rho,
     _replication_moments,
     default_rho_grid,
     emit_profile,
@@ -154,8 +152,9 @@ class TestMcRun:
     @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
     @pytest.mark.parametrize("seed,n", [(1, 20), (2, 60), (3, 100)])
     def test_matches_per_candidate_fits(self, spacing, seed, n):
-        # Reference: one pca_fit per cutoff and one dense ridge_fit per rho in
-        # every replication, reduced in replication order with the same ties.
+        # Reference: one pca_fit per cutoff and one dense ridge solve per rho
+        # in every replication, reduced in replication order; ties go to the
+        # smaller m and the larger rho.
         config = SimConfig(n=n, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=seed)
         reps, rhos = 6, default_rho_grid()
         pca = {m: [] for m in DEFAULT_M_GRID}
@@ -169,7 +168,7 @@ class TestMcRun:
                 except RankError:
                     excluded.add(m)
             for rho in rhos:
-                ridge[rho].append(ridge_fit(moments, rho).slope)
+                ridge[rho].append(dense_ridge(moments, rho))
         target = draw_dataset(config)[1].slope
 
         def mise(slopes):
@@ -181,8 +180,8 @@ class TestMcRun:
 
         result = mc_run(config, reps, threads=2)
         assert result.excluded_m == tuple(sorted(excluded))
-        assert result.m_star == _best_m(m_profile)
-        assert result.rho_star == _best_rho(rho_profile)
+        assert result.m_star == min(m_profile, key=lambda m: (m_profile[m], m))
+        assert result.rho_star == min(rho_profile, key=lambda rho: (rho_profile[rho], -rho))
         for got, want in ((result.m_profile, m_profile), (result.rho_profile, rho_profile)):
             assert [c for c, _ in got] == list(want)
             for c, value in got:
@@ -209,9 +208,22 @@ class TestOracleTune:
         assert result.rho_star == 0.07
         assert result.m_star in (1, 2)
 
-    def test_tie_breaking(self):
-        assert _best_m({3: 1.0, 1: 1.0, 2: 2.0}) == 1
-        assert _best_rho({0.1: 1.0, 0.3: 1.0, 0.2: 2.0}) == 0.3
+    def test_tie_breaking(self, monkeypatch):
+        # Tied MISE goes to the smallest valid m and the largest rho; n = 5
+        # caps the usable rank at 4, so m = 10 is excluded.
+        tiny = SimConfig(n=5, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=2)
+        for pattern, m_star, rho_star in (
+            ((1.0, 1.0, 1.0, 1.0), 2, 1.0),  # all tied
+            ((3.0, 1.0, 1.0, 2.0), 3, 0.1),  # tied at two inner candidates
+        ):
+            def tied(estimates, target, p, pattern=pattern):
+                mise = np.array(pattern[: len(estimates)])
+                return mise / 2, mise / 2
+
+            monkeypatch.setattr(evaluation, "integrated_bias_var", tied)
+            result = mc_run(tiny, 4, m_grid=(2, 3, 4, 10), rho_grid=(1e-3, 1e-2, 1e-1, 1.0))
+            assert result.excluded_m == (10,)
+            assert (result.m_star, result.rho_star) == (m_star, rho_star)
 
     def test_cutoff_grows_with_sample_size(self):
         # oracle cutoff should not shrink when n grows 100 -> 500
