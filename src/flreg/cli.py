@@ -163,8 +163,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise DataFormatError(
             f"data grid (p={grid.p}) does not match model grid (p={model.slope.size})"
         )
-    lines = [f"{y:.17g}" for y in predict(model, X).tolist()]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("".join(f"{y:.17g}\n" for y in predict(model, X).tolist()), args.out)
     return EXIT_OK
 
 

@@ -30,6 +30,9 @@ bit-identical for any thread count and any chunking.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
@@ -139,6 +142,49 @@ def _replication_moments(
     return covs, cross
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    found by its path among the process's mapped files; None without it."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, so pool workers do not each start BLAS
+    threads of their own, and restore the previous count on exit.  The
+    count is process-wide: calls that overlap from several threads can
+    restore each other's setting.  Without numpy's bundled OpenBLAS this
+    does nothing."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def mc_run(
     config: SimConfig,
     replications: int,
@@ -151,7 +197,8 @@ def mc_run(
     A cutoff candidate that fails the usable-rank precondition in any
     replication is excluded from the search and reported in
     ``excluded_m``.  With ``threads`` > 1 and more than one chunk, the
-    chunks run on a pool of that many threads.
+    chunks run on a pool of that many threads, with OpenBLAS held at one
+    thread meanwhile.
     """
     if replications < 2:
         raise ParameterError(f"need at least 2 replications, got {replications}")
@@ -183,7 +230,7 @@ def mc_run(
 
     starts = range(0, replications, CHUNK)
     if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(min(threads, len(starts))) as pool:
             # Each chunk runs in its own copy of the caller's context, so under
             # the caller's numpy error state.
             contexts = [copy_context() for _ in starts]

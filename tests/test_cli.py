@@ -124,6 +124,17 @@ class TestFitPredict:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["x_1,x_2,x_3,y", "x_1,x_2,x_3"])
+    def test_predict_on_zero_curves_writes_an_empty_file(self, tmp_path, header):
+        model = tmp_path / "model.txt"
+        model.write_bytes(FUZZ_MODEL)
+        data = tmp_path / "data.csv"
+        data.write_text(f"# grid=midpoint p=3\n{header}\n")
+        out = tmp_path / "preds.txt"
+        assert run(["predict", "--model", str(model), "--data", str(data),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+
     def test_grid_mismatch_between_model_and_data(self, tmp_path):
         data = simulate(tmp_path, n=6)
         small = simulate(tmp_path, name="small.csv", n=6, extra=("--p", "20", "--terms", "20"))
@@ -467,7 +478,9 @@ def mutate_bytes(text, kind, at):
     if not cells:
         return text
     cell = cells[at % len(cells)]
-    value = {"empty": b"", "inf": b"1e309", "max": b"1e308", "negzero": b"-0"}[kind]
+    value = {"empty": b"", "inf": b"1e309", "max": b"1e308", "negzero": b"-0",
+             "separator": b"1_0", "arabic": "\u0663".encode(),
+             "padded": b" \t" + cell.group() + b" "}[kind]
     return text[: cell.start()] + value + text[cell.end():]
 
 
@@ -482,7 +495,7 @@ class TestCliFuzz:
             st.tuples(
                 st.booleans(),
                 st.sampled_from(("utf8", "bom", "crlf", "truncate", "empty", "inf",
-                                 "max", "negzero")),
+                                 "max", "negzero", "separator", "arabic", "padded")),
                 st.integers(0, 400),
             ),
             max_size=3,

@@ -28,6 +28,7 @@ from flreg.evaluation import (
     theoretical_rate_slope,
 )
 from flreg.simulation import truth_bundle
+from flreg.spectral import eigh_stack
 
 SMALL = SimConfig(n=60, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=17)
 
@@ -148,6 +149,31 @@ class TestMcRun:
         for chunk in (1, 7, 150):
             monkeypatch.setattr(evaluation, "CHUNK", chunk)
             assert text(2) == reference
+
+    def test_blas_held_at_one_thread_in_the_pool_and_restored(self, monkeypatch):
+        calls = evaluation._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        get, set_ = calls
+        seen = []
+
+        def eigh_recording(covs):
+            seen.append(get())
+            return eigh_stack(covs)
+
+        monkeypatch.setattr(evaluation, "eigh_stack", eigh_recording)
+        config = SimConfig(n=15, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=8)
+        before = get()
+        set_(2)
+        try:
+            unpinned = get()
+            mc_run(config, 150, threads=2)  # three chunks on a pool of two
+            assert seen == [1, 1, 1]
+            assert get() == unpinned
+            mc_run(config, 150, threads=1)  # no pool, nothing to hold
+            assert seen[3:] == [unpinned] * 3
+        finally:
+            set_(before)
 
     @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
     @pytest.mark.parametrize("seed,n", [(1, 20), (2, 60), (3, 100)])

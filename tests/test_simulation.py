@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flreg import (
     DataFormatError,
@@ -16,6 +19,7 @@ from flreg import (
     true_slope,
     truth_bundle,
 )
+from flreg import simulation
 from flreg.simulation import dataset_from_csv, dataset_to_csv, slope_coefficients
 
 GRID = Grid(50)
@@ -257,3 +261,93 @@ class TestDatasetCsv:
         assert Y is None and X.shape == (1, 2)
         _, X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n")
         assert X.shape == (0, 2) and Y.shape == (0,)
+
+    def test_line_loop_runs_only_when_the_fast_route_rejects(self, monkeypatch):
+        calls = []
+        original = simulation._parse_rows_by_line
+
+        def by_line(rows, n_cols):
+            calls.append(len(rows))
+            return original(rows, n_cols)
+
+        monkeypatch.setattr(simulation, "_parse_rows_by_line", by_line)
+        cfg = SimConfig(n=4, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=5)
+        data, _ = draw_dataset(cfg)
+        _, X, Y = dataset_from_csv(dataset_to_csv(data))
+        assert calls == [] and X.flags.c_contiguous and Y.flags.c_contiguous
+        # float() reads digit separators and non-ASCII digits; loadtxt does not.
+        _, X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n1_0,\u0663,2\n")
+        assert calls == [1]
+        assert X.tolist() == [[10.0, 3.0]] and Y.tolist() == [2.0]
+
+
+def _separate_digits(cell):
+    return re.sub(r"(\d)(\d)", r"\1_\2", cell, count=1)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+CELL_EDITS = (
+    str, str, str,  # most cells stay as written
+    lambda cell: "+" + cell,
+    _separate_digits,
+    lambda cell: cell.translate(ARABIC_INDIC),
+)
+CSV_CELLS = st.tuples(
+    st.sampled_from(("", "", " ", "\t", " \t")),
+    st.one_of(
+        st.tuples(
+            st.sampled_from(("%.17g", "%r")),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(CELL_EDITS),
+        ).map(lambda t: t[2](t[0] % t[1])),
+        st.sampled_from(("-0", "+0", "1_0", "\u0661", "nan", "-inf", "inf", "1e309",
+                         "-1e309", "", "x", "1e", "0x1")),
+    ),
+    st.sampled_from(("", "", " ", "\t")),
+).map("".join)
+
+
+@st.composite
+def dataset_csv_text(draw):
+    """Dataset CSV text from random rows: cells in several spellings, rows
+    short and long, blank lines and CRLF."""
+    p = draw(st.integers(2, 3))
+    has_y = draw(st.booleans())
+    n_cols = p + 1 if has_y else p
+    width = st.sampled_from((n_cols, n_cols, n_cols, n_cols - 1, n_cols + 1))
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(CSV_CELLS, min_size=k,
+                                                              max_size=k)), max_size=3))
+    header = ",".join([f"x_{i}" for i in range(1, p + 1)] + (["y"] if has_y else []))
+    lines = [f"# grid=midpoint p={p}", header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + newline, p, has_y
+
+
+class TestDatasetCsvFastRoute:
+    @given(case=dataset_csv_text())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_line_loop(self, case):
+        # The loadtxt route gives the line loop's values bit for bit, or
+        # the line loop's error message.
+        text, p, has_y = case
+        rows = [line for line in text.splitlines() if line.strip()][2:]
+        try:
+            expected, message = simulation._parse_rows_by_line(rows, p + has_y), None
+        except DataFormatError as exc:
+            expected, message = None, str(exc)
+        try:
+            _, X, Y = dataset_from_csv(text, require_y=has_y)
+        except DataFormatError as exc:
+            assert str(exc) == message
+            return
+        assert message is None
+        assert X.flags.c_contiguous and X.shape == (len(rows), p)
+        assert X.tobytes() == np.ascontiguousarray(expected[:, :p]).tobytes()
+        if has_y:
+            assert Y.flags.c_contiguous
+            assert Y.tobytes() == np.ascontiguousarray(expected[:, p]).tobytes()
+        else:
+            assert Y is None
