@@ -119,8 +119,9 @@ def moment_arrays(X: np.ndarray, Y: np.ndarray) -> Moments:
     observations, so the bits do not depend on the BLAS thread count.
     """
     n = X.shape[0]
-    x_mean = np.mean(X, axis=0)
-    y_mean = float(np.mean(Y))
+    # np.mean's own sum and division, without its Python-level wrapper.
+    x_mean = np.add.reduce(X, axis=0) / n
+    y_mean = float(np.add.reduce(Y)) / n
     xc = X - x_mean
     yc = Y - y_mean
     return x_mean, y_mean, xc.T @ xc / n, yc @ xc / n

@@ -34,6 +34,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -165,24 +166,37 @@ def _openblas_threads():
     return None
 
 
+# Holders of the one-thread BLAS pin, and the count the first one saved.
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = 0
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold OpenBLAS at one thread, so pool workers do not each start BLAS
-    threads of their own, and restore the previous count on exit.  The
-    count is process-wide: calls that overlap from several threads can
-    restore each other's setting.  Without numpy's bundled OpenBLAS this
-    does nothing."""
+    threads of their own.  The count is process-wide, so overlapping holders
+    (``mc_run`` calls from several threads) share one pin: the first saves
+    the count and sets one thread, the last restores the saved count.
+    Without numpy's bundled OpenBLAS this does nothing."""
+    global _blas_holders, _blas_saved
     calls = _openblas_threads()
     if calls is None:
         yield
         return
     get, set_ = calls
-    saved = get()
-    set_(1)
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        set_(saved)
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_saved)
 
 
 def mc_run(

@@ -9,7 +9,8 @@ product, so basis error can never leak into estimator tests.
 A function on the grid is a (p,) float array and a kernel a (p, p) float
 array.  Values the package keeps (datasets, fitted slopes, the true slope
 and covariance) are read-only, so they can be shared freely across
-threads; ``_frozen_array`` checks and freezes those built from input.
+threads; ``_frozen_array`` checks and freezes those built from input,
+copying only arrays that are not already frozen and self-owned.
 """
 
 from __future__ import annotations
@@ -46,7 +47,19 @@ class Grid:
 
 
 def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """``values`` checked for shape and finiteness, as a read-only float
+    array.  A float array that is already read-only and owns its memory (as
+    ``draw_xy`` and ``dataset_from_csv`` return) is kept as is; anything
+    else, a caller's writable array or a view included, is copied."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == float
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -72,7 +85,13 @@ class GridFunction:
 
 def _require_symmetric(kernels: np.ndarray) -> None:
     """Raise unless every (p, p) matrix in the (..., p, p) array ``kernels``
-    is symmetric to SYMMETRY_RTOL of its own largest entry."""
+    is symmetric to SYMMETRY_RTOL of its own largest entry.
+
+    An exactly symmetric stack, as BLAS ``syrk`` makes, passes on one
+    elementwise comparison; only other stacks pay for the tolerance
+    reduction.  Both routes accept and reject the same inputs."""
+    if np.array_equal(kernels, np.swapaxes(kernels, -2, -1)):
+        return
     scale = np.max(np.abs(kernels), axis=(-2, -1))
     asym = np.max(np.abs(kernels - np.swapaxes(kernels, -2, -1)), axis=(-2, -1))
     if np.any(asym > SYMMETRY_RTOL * scale):

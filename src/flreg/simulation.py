@@ -18,15 +18,21 @@ SeedSequence; replication r of a Monte Carlo run uses the child config
 ``config.child(r)``, whose seed is derived from (seed, r) independently of
 execution order.  Within one dataset the draw order is fixed: the n-by-J
 score matrix is filled observation-major, then the n noise values follow.
-Normal deviates use the generator's native ``standard_normal`` (ziggurat
-method), which is exact in distribution.  The curves are one BLAS matrix
-product of the scaled scores with the basis (``draw_xy``); the Monte Carlo
-harness and ``draw_dataset`` share that draw.
+The uniform scores are the generator's ``random()`` fill of [0, 1)
+doubles mapped in place to 2 sqrt(3) u - sqrt(3), which is bit for bit what
+``uniform(-sqrt(3), sqrt(3))`` returns: that computes lo + (hi - lo) u, and
+hi - lo is exactly 2 sqrt(3).  Normal deviates use the generator's native
+``standard_normal`` (ziggurat method), which is exact in distribution.  The
+curves are one BLAS matrix product of the scaled scores with the basis
+(``draw_xy``); the Monte Carlo harness and ``draw_dataset`` share that draw.
+The truth of a scenario (``truth_bundle``) depends only on its design, not
+on n, noise or seed, and is built once per design and shared read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -163,8 +169,8 @@ def gamma_sequence(spacing: str, alpha: float, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TruthBundle:
     """Everything the data-generating process knows: true slope, score
-    scales, basis, covariance kernel and its sorted eigenvalues.  The slope
-    and the kernel are read-only."""
+    scales, basis, covariance kernel and its sorted eigenvalues.  Every
+    array is read-only, since one bundle is shared by all callers."""
 
     slope: np.ndarray  # (p,)
     gamma: np.ndarray  # (J,) in basis order
@@ -175,42 +181,60 @@ class TruthBundle:
 
 
 def truth_bundle(config: SimConfig) -> TruthBundle:
-    """Deterministic part of a scenario: slope, scales and true covariance."""
-    grid = config.grid
-    gamma = gamma_sequence(config.spacing, config.alpha, config.n_terms)
-    B = basis_matrix(grid, config.n_terms)
+    """Deterministic part of a scenario: slope, scales and true covariance.
+
+    The bundle depends only on (spacing, alpha, n_terms, p), so configs that
+    differ in n, sigma_eps or seed get the same cached, read-only bundle."""
+    return _truth_bundle(config.spacing, config.alpha, config.n_terms, config.p)
+
+
+@functools.lru_cache(maxsize=64)
+def _truth_bundle(spacing: str, alpha: float, n_terms: int, p: int) -> TruthBundle:
+    grid = Grid(p)
+    gamma = gamma_sequence(spacing, alpha, n_terms)
+    B = basis_matrix(grid, n_terms)
     # Two-operand accumulation keeps the kernel exactly symmetric.
     scaled = np.abs(gamma)[:, None] * B
     kernel = np.einsum("ju,jv->uv", scaled, scaled)
-    slope = true_slope(grid, config.n_terms)
-    slope.setflags(write=False)
-    kernel.setflags(write=False)
     kappa = gamma**2
     order = np.argsort(-kappa, kind="stable")
-    return TruthBundle(
-        slope=slope,
+    bundle = TruthBundle(
+        slope=true_slope(grid, n_terms),
         gamma=gamma,
         basis=B,
         kernel=kernel,
         eigenvalues=kappa[order],
         eigen_order=order,
     )
+    for arr in vars(bundle).values():
+        arr.setflags(write=False)
+    return bundle
 
 
 def draw_xy(config: SimConfig, truth: TruthBundle) -> tuple[np.ndarray, np.ndarray]:
     """The (n, p) covariate matrix and n responses of the scenario's
     dataset, fully determined by config.seed.  ``truth`` is ``truth_bundle``
-    of a config equal but for the seed.
+    of a config equal but for the seed.  Both arrays are fresh and
+    read-only.
 
-    X is one ``gemm`` of the scaled scores with the basis and y one
-    ``gemv``; BLAS threads divide their outputs, not their sums, so the
-    bits do not depend on the BLAS thread count.
+    The scores are a ``random()`` fill mapped in place to
+    [-sqrt(3), sqrt(3)), bit for bit the generator's ``uniform`` (see the
+    module notes), and the noise follows from the same stream.  X is one
+    ``gemm`` of the scaled scores with the basis and y one ``gemv``; BLAS
+    threads divide their outputs, not their sums, so the bits do not depend
+    on the BLAS thread count.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    scores = rng.uniform(-SQRT3, SQRT3, size=(config.n, config.n_terms))
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    scores = rng.random((config.n, config.n_terms))
+    scores *= 2.0 * SQRT3
+    scores -= SQRT3
+    scores *= truth.gamma
     noise = config.sigma_eps * rng.standard_normal(config.n)
-    X = (scores * truth.gamma) @ truth.basis
-    return X, X @ truth.slope / config.p + noise
+    X = scores @ truth.basis
+    y = X @ truth.slope / config.p + noise
+    X.setflags(write=False)
+    y.setflags(write=False)
+    return X, y
 
 
 def draw_dataset(
@@ -246,12 +270,19 @@ def dataset_from_csv(
 ) -> tuple[Grid, np.ndarray, np.ndarray | None]:
     """Parse dataset CSV text back into grid, (n, p) covariate matrix and
     responses.  Every cell must be a finite number in the grammar of
-    Python's ``float()``; the first bad data line is named in the error.
+    Python's ``float()``; the first bad data line is named in the error by
+    its line number in the text, blank lines included.  Lines are split as
+    by ``str.splitlines``, so CRLF ends one line.
 
     With ``require_y=False`` the y column may be absent, in which case the
     returned responses are None (as needed when predicting on new curves).
+    The returned arrays are fresh and read-only.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    linenos, lines = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            linenos.append(lineno)
+            lines.append(line)
     if not lines:
         raise DataFormatError("dataset CSV is empty")
     match = _METADATA_RE.match(lines[0])
@@ -275,14 +306,20 @@ def dataset_from_csv(
         raise DataFormatError(
             f"dataset CSV header does not match the declared grid size p={p}"
         )
-    table = _parse_rows(lines[2:], p + 1 if has_y else p)
-    X = np.ascontiguousarray(table[:, :p])
-    Y = np.ascontiguousarray(table[:, p]) if has_y else None
+    table = _parse_rows(lines[2:], linenos[2:], p + 1 if has_y else p)
+    if has_y:
+        X = np.ascontiguousarray(table[:, :p])
+        Y = np.ascontiguousarray(table[:, p])
+        Y.setflags(write=False)
+    else:
+        X, Y = table, None
+    X.setflags(write=False)
     return grid, X, Y
 
 
-def _parse_rows(rows: list[str], n_cols: int) -> np.ndarray:
-    """The (len(rows), n_cols) table of finite cells in nonblank data rows.
+def _parse_rows(rows: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
+    """The (len(rows), n_cols) table of finite cells in nonblank data rows,
+    which sit on lines ``linenos`` of the text.
 
     One C pass by ``np.loadtxt``, accepted only if it gives one row per line
     and every cell is finite; otherwise the per-line loop either names the
@@ -295,19 +332,18 @@ def _parse_rows(rows: list[str], n_cols: int) -> np.ndarray:
     try:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        return _parse_rows_by_line(rows, n_cols)
+        return _parse_rows_by_line(rows, linenos, n_cols)
     if table.shape != (len(rows), n_cols) or not np.isfinite(table).all():
-        return _parse_rows_by_line(rows, n_cols)
+        return _parse_rows_by_line(rows, linenos, n_cols)
     return table
 
 
-def _parse_rows_by_line(rows: list[str], n_cols: int) -> np.ndarray:
+def _parse_rows_by_line(rows: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
     """``_parse_rows`` one line at a time with ``float()``: the route that
-    names the first bad line (numbered among nonblank lines, so the first
-    row is line 3) and the tests' reference for the fast route."""
+    names the first bad line (by its number in ``linenos``) and the tests'
+    reference for the fast route."""
     table = np.empty((len(rows), n_cols))
-    for i, line in enumerate(rows):
-        lineno = i + 3
+    for i, (lineno, line) in enumerate(zip(linenos, rows)):
         fields = line.split(",")
         if len(fields) != n_cols:
             raise DataFormatError(

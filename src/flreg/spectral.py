@@ -57,7 +57,7 @@ def eigh_stack(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(kernels / p)
     # eigh returns ascending order; flip to nonincreasing.
     vals = vals[:, ::-1].copy()
-    vecs = (vecs[:, :, ::-1] * math.sqrt(p)).copy()
+    vecs = vecs[:, :, ::-1] * math.sqrt(p)  # a new C-contiguous array
     return vals, vecs
 
 

@@ -22,9 +22,15 @@ from flreg import (
     ridge_fit,
     usable_rank,
 )
-from flreg.estimators import cutoff_path, model_from_text, model_to_text, ridge_path
+from flreg.estimators import (
+    cutoff_path,
+    model_from_text,
+    model_to_text,
+    moment_arrays,
+    ridge_path,
+)
 from flreg.evaluation import DEFAULT_M_GRID, default_rho_grid
-from flreg.simulation import basis_matrix
+from flreg.simulation import basis_matrix, dataset_from_csv, dataset_to_csv
 from flreg.spectral import eigh_stack
 
 GRID = Grid(50)
@@ -114,6 +120,36 @@ class TestComputeMoments:
             Dataset(GRID, np.ones((2, 50)), np.array([1.0, np.inf]))
         with pytest.raises(DimensionMismatchError):
             Dataset(GRID, np.ones((2, 50)), np.ones(3))
+
+    def test_callers_arrays_are_copied_and_frozen_fresh_arrays_kept(self):
+        rng = np.random.default_rng(12)
+        X, Y = rng.standard_normal((4, 50)), rng.standard_normal(4)
+        data = Dataset(GRID, X, Y)
+        assert not np.shares_memory(data.X, X) and not np.shares_memory(data.Y, Y)
+        X[:] = 0.0
+        Y[:] = 0.0
+        assert np.all(data.X != 0.0) and np.all(data.Y != 0.0)
+        # a read-only view of a writable array is copied too
+        view = rng.standard_normal((4, 50))[:, :]
+        view.setflags(write=False)
+        assert not np.shares_memory(Dataset(GRID, view, Y).X, view)
+        # the frozen arrays of a draw or a parsed CSV are held, not copied
+        data, _ = draw_dataset(
+            SimConfig(n=6, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=4)
+        )
+        assert Dataset(GRID, data.X, data.Y).X is data.X
+        grid, X, Y = dataset_from_csv(dataset_to_csv(data))
+        held = Dataset(grid, X, Y)
+        assert held.X is X and held.Y is Y
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 501, 4097])
+    def test_means_are_np_mean_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-8, 8, 50)
+        Y = rng.standard_normal(n) * 1e3
+        x_mean, y_mean, _, _ = moment_arrays(X, Y)
+        assert x_mean.tobytes() == np.mean(X, axis=0).tobytes()
+        assert y_mean == float(np.mean(Y))
 
 
 class TestPcaFit:

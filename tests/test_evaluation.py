@@ -1,5 +1,8 @@
 import math
 import statistics
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,6 +176,79 @@ class TestMcRun:
             mc_run(config, 150, threads=1)  # no pool, nothing to hold
             assert seen[3:] == [unpinned] * 3
         finally:
+            set_(before)
+
+    def test_overlapping_blas_pins_restore_the_first_count(self):
+        calls = evaluation._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        try:
+            first, second = evaluation._one_blas_thread(), evaluation._one_blas_thread()
+            first.__enter__()
+            second.__enter__()
+            assert get() == 1
+            first.__exit__(None, None, None)  # the first holder leaves first
+            assert get() == 1
+            second.__exit__(None, None, None)
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_concurrent_mc_runs_leave_the_blas_count_as_found(self, monkeypatch):
+        calls = evaluation._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        get, set_ = calls
+        # Chunks meet in pairs, so some chunk of one call runs while the
+        # other call holds the pin: the two pins overlap.
+        barrier = threading.Barrier(2)
+
+        def eigh_meeting(covs):
+            barrier.wait(timeout=30)
+            return eigh_stack(covs)
+
+        monkeypatch.setattr(evaluation, "eigh_stack", eigh_meeting)
+        config = SimConfig(n=15, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=8)
+        before = get()
+        set_(2)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                runs = [pool.submit(mc_run, config, 150, threads=2) for _ in range(2)]
+                tables = [emit_table([run.result(timeout=60)]) for run in runs]
+            assert get() == 2
+            assert tables[0] == tables[1]
+        finally:
+            set_(before)
+
+    def test_blas_pin_stress(self):
+        calls = evaluation._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        get, set_ = calls
+        before, interval = get(), sys.getswitchinterval()
+        unpinned = []
+
+        def hold_often():
+            for _ in range(300):
+                with evaluation._one_blas_thread():
+                    if get() != 1:
+                        unpinned.append(get())
+
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hold_often) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert unpinned == [] and get() == 2
+        finally:
+            sys.setswitchinterval(interval)
             set_(before)
 
     @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])

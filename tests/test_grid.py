@@ -16,7 +16,7 @@ from flreg import (
     ridge_fit,
 )
 from flreg.evaluation import integrated_bias_var
-from flreg.grid import GridFunction
+from flreg.grid import SYMMETRY_RTOL, GridFunction, _require_symmetric
 from flreg.simulation import basis_matrix
 
 # Functions on the grid are (p,) arrays and kernels (p, p) arrays.  The
@@ -103,6 +103,24 @@ class TestGridType:
             perturbation_report(power_law_kernel(grid), bad, 1)
         with pytest.raises(DimensionMismatchError):
             eigendecompose(np.zeros((50, 49)))
+
+    def test_symmetry_tolerance_outside_the_exact_route(self):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((3, 50, 50))
+        stack = w @ np.swapaxes(w, 1, 2)
+        stack = (stack + np.swapaxes(stack, 1, 2)) / 2  # exactly symmetric
+        _require_symmetric(stack)
+        scale = np.max(np.abs(stack[1]))
+        near = stack.copy()
+        near[1, 0, 1] += 0.5 * SYMMETRY_RTOL * scale  # within tolerance, not exact
+        assert not np.array_equal(near, np.swapaxes(near, 1, 2))
+        _require_symmetric(near)
+        far = stack.copy()
+        far[1, 0, 1] += 2.0 * SYMMETRY_RTOL * scale
+        with pytest.raises(ParameterError):
+            _require_symmetric(far)
+        with pytest.raises(ParameterError):
+            _require_symmetric(far[1])
 
 
 class TestInnerProduct:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -127,8 +128,43 @@ class TestTruthBundle:
             truth.eigenvalues, (truth.gamma**2)[truth.eigen_order]
         )
 
+    def test_bundle_is_read_only_and_shared_per_design(self):
+        cfg = SimConfig(n=10, sigma_eps=0.0, alpha=2.0, spacing="closely_spaced", seed=0)
+        truth = truth_bundle(cfg)
+        for name, arr in vars(truth).items():
+            assert not arr.flags.writeable, name
+        for change in ({"n": 500}, {"sigma_eps": 1.5}, {"seed": 99}):
+            assert truth_bundle(dataclasses.replace(cfg, **change)) is truth
+        other = truth_bundle(dataclasses.replace(cfg, alpha=1.1))
+        assert other is not truth
+        assert not np.array_equal(other.gamma, truth.gamma)
+
+
+def reference_draw(config):
+    """The draw as ``Generator.uniform`` scores: the bits ``draw_xy`` keeps."""
+    truth = truth_bundle(config)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    scores = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (config.n, config.n_terms))
+    noise = config.sigma_eps * rng.standard_normal(config.n)
+    X = scores * truth.gamma @ truth.basis
+    return X, X @ truth.slope / config.p + noise
+
 
 class TestDrawDataset:
+    @pytest.mark.parametrize(
+        "design",
+        [{"spacing": spacing, "n": n} for spacing in ("well_spaced", "closely_spaced")
+         for n in (2, 7, 500)] + [{"spacing": "closely_spaced", "n": 37, "n_terms": 9, "p": 20}],
+    )
+    def test_draw_is_the_uniform_reference_bit_for_bit(self, design):
+        for seed in (0, 1, 20070810, 2**63 + 5):
+            cfg = SimConfig(sigma_eps=0.5, alpha=1.5, seed=seed, **design)
+            X, y = simulation.draw_xy(cfg, truth_bundle(cfg))
+            ref_X, ref_y = reference_draw(cfg)
+            assert X.shape == (cfg.n, cfg.p)
+            assert X.tobytes() == ref_X.tobytes() and y.tobytes() == ref_y.tobytes()
+            assert not X.flags.writeable and not y.flags.writeable
+
     def test_deterministic_given_config(self):
         cfg = SimConfig(n=20, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=42)
         a, _ = draw_dataset(cfg)
@@ -253,6 +289,17 @@ class TestDatasetCsv:
             with pytest.raises(DataFormatError, match="p >= 2"):
                 dataset_from_csv(text)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_errors_name_the_physical_line(self, newline):
+        lines = ["# grid=midpoint p=2", "", "x_1,x_2,y", "", "1,2,3", "1,zap,3"]
+        with pytest.raises(DataFormatError, match="^dataset CSV line 6: non-numeric cell$"):
+            dataset_from_csv(newline.join(lines) + newline)
+        lines[5:] = [" ", "4,5,6", "\t", "1,2"]
+        with pytest.raises(DataFormatError, match="^dataset CSV line 9: expected 3 columns"):
+            dataset_from_csv(newline.join(lines) + newline)
+        _, X, Y = dataset_from_csv(newline.join(lines[:-1]) + newline)
+        assert X.tolist() == [[1.0, 2.0], [4.0, 5.0]] and Y.tolist() == [3.0, 6.0]
+
     def test_y_column_optional_only_on_request(self):
         text = "# grid=midpoint p=2\nx_1,x_2\n1,2\n"
         with pytest.raises(DataFormatError):
@@ -266,9 +313,9 @@ class TestDatasetCsv:
         calls = []
         original = simulation._parse_rows_by_line
 
-        def by_line(rows, n_cols):
+        def by_line(rows, linenos, n_cols):
             calls.append(len(rows))
-            return original(rows, n_cols)
+            return original(rows, linenos, n_cols)
 
         monkeypatch.setattr(simulation, "_parse_rows_by_line", by_line)
         cfg = SimConfig(n=4, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=5)
@@ -333,9 +380,11 @@ class TestDatasetCsvFastRoute:
         # The loadtxt route gives the line loop's values bit for bit, or
         # the line loop's error message.
         text, p, has_y = case
-        rows = [line for line in text.splitlines() if line.strip()][2:]
+        numbered = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
+        linenos = [no for no, _ in numbered][2:]
+        rows = [line for _, line in numbered][2:]
         try:
-            expected, message = simulation._parse_rows_by_line(rows, p + has_y), None
+            expected, message = simulation._parse_rows_by_line(rows, linenos, p + has_y), None
         except DataFormatError as exc:
             expected, message = None, str(exc)
         try:
