@@ -31,6 +31,7 @@ term, which for centred moments reduces to y_mean - <slope, x_mean>.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -253,9 +254,26 @@ def model_to_text(model: FittedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonblank_lines(text: str) -> tuple[list[int], list[str]]:
+    """Numbers (from 1) and contents of the nonblank lines of a data or model
+    file.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines,
+    as ``open()`` reads text) and nowhere else."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    numbered = [(no, line) for no, line in enumerate(text.split("\n"), 1) if line.strip()]
+    return [no for no, _ in numbered], [line for _, line in numbered]
+
+
+# The cells of comma-separated nonempty rows as a 2-D float table, in one C
+# pass: a cell is an optional sign and an ASCII decimal, scientific, inf or
+# nan spelling, within whitespace.  Raises ValueError on rows of unequal width.
+_read_cells = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
+
+
 def model_from_text(text: str) -> FittedModel:
-    """Parse a model file produced by ``model_to_text``."""
-    lines = text.splitlines()
+    """Parse a model file produced by ``model_to_text``, split and read as a
+    dataset CSV is (``_nonblank_lines``, ``_read_cells``)."""
+    _, lines = _nonblank_lines(text)
     if len(lines) < 4:
         raise DataFormatError("model file truncated: missing header lines")
 
@@ -268,6 +286,8 @@ def model_from_text(text: str) -> FittedModel:
     method = _field(lines[0], "method")
     if method not in ("pca", "ridge"):
         raise DataFormatError(f"model file: unknown method {method!r}")
+    if any("," in line for line in lines[4:]):
+        raise DataFormatError("model file: expected one slope value per line")
     try:
         if method == "pca":
             parameter = float(int(_field(lines[1], "m")))
@@ -275,7 +295,7 @@ def model_from_text(text: str) -> FittedModel:
             parameter = float(_field(lines[1], "rho"))
         intercept = float(_field(lines[2], "intercept"))
         p = int(_field(lines[3], "p"))
-        values = np.array([float(line) for line in lines[4:] if line.strip()])
+        values = _read_cells(lines[4:])[:, 0] if len(lines) > 4 else np.empty(0)
     except ValueError as exc:
         raise DataFormatError(f"model file: non-numeric field ({exc})") from exc
     if p < 2:
@@ -287,7 +307,5 @@ def model_from_text(text: str) -> FittedModel:
     if not (math.isfinite(intercept) and np.all(np.isfinite(values))):
         raise DataFormatError("model file: non-finite intercept or slope value")
     if len(values) != p:
-        raise DataFormatError(
-            f"model file: expected {p} slope values, found {len(values)}"
-        )
+        raise DataFormatError(f"model file: expected {p} slope values, found {len(values)}")
     return FittedModel(slope=values, intercept=intercept, method=method, parameter=parameter)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, ParameterError
-from .estimators import Dataset
+from .estimators import Dataset, _nonblank_lines, _read_cells
 from .grid import Grid
 
 __all__ = [
@@ -269,20 +269,15 @@ def dataset_from_csv(
     text: str, require_y: bool = True
 ) -> tuple[Grid, np.ndarray, np.ndarray | None]:
     """Parse dataset CSV text back into grid, (n, p) covariate matrix and
-    responses.  Every cell must be a finite number in the grammar of
-    Python's ``float()``; the first bad data line is named in the error by
-    its line number in the text, blank lines included.  Lines are split as
-    by ``str.splitlines``, so CRLF ends one line.
+    responses.  Blank lines are skipped (``_nonblank_lines``), and every cell
+    must be a finite number as ``np.loadtxt`` reads it (``_read_cells``); the
+    first bad data line is named by its line number, blank lines included.
 
     With ``require_y=False`` the y column may be absent, in which case the
     returned responses are None (as needed when predicting on new curves).
     The returned arrays are fresh and read-only.
     """
-    linenos, lines = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            linenos.append(lineno)
-            lines.append(line)
+    linenos, lines = _nonblank_lines(text)
     if not lines:
         raise DataFormatError("dataset CSV is empty")
     match = _METADATA_RE.match(lines[0])
@@ -319,41 +314,27 @@ def dataset_from_csv(
 
 def _parse_rows(rows: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
     """The (len(rows), n_cols) table of finite cells in nonblank data rows,
-    which sit on lines ``linenos`` of the text.
-
-    One C pass by ``np.loadtxt``, accepted only if it gives one row per line
-    and every cell is finite; otherwise the per-line loop either names the
-    bad line or gives the values Python's ``float()`` grammar allows and
-    ``loadtxt`` does not (digit separators, non-ASCII digits).  Both parse
-    with the same correctly rounded conversion, so they agree bit for bit.
-    """
+    which sit on lines ``linenos`` of the text, in one ``_read_cells`` pass.
+    If that pass rejects the rows, each line is read alone by the same call,
+    only to raise the first bad line's error."""
     if not rows:  # loadtxt warns on empty input
         return np.empty((0, n_cols))
     try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        table = _read_cells(rows)
+        if table.shape == (len(rows), n_cols) and np.isfinite(table).all():
+            return table
     except ValueError:
-        return _parse_rows_by_line(rows, linenos, n_cols)
-    if table.shape != (len(rows), n_cols) or not np.isfinite(table).all():
-        return _parse_rows_by_line(rows, linenos, n_cols)
-    return table
-
-
-def _parse_rows_by_line(rows: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
-    """``_parse_rows`` one line at a time with ``float()``: the route that
-    names the first bad line (by its number in ``linenos``) and the tests'
-    reference for the fast route."""
-    table = np.empty((len(rows), n_cols))
-    for i, (lineno, line) in enumerate(zip(linenos, rows)):
-        fields = line.split(",")
-        if len(fields) != n_cols:
+        pass
+    for lineno, row in zip(linenos, rows):
+        n_cells = row.count(",") + 1
+        if n_cells != n_cols:
             raise DataFormatError(
-                f"dataset CSV line {lineno}: expected {n_cols} columns, got {len(fields)}"
+                f"dataset CSV line {lineno}: expected {n_cols} columns, got {n_cells}"
             )
         try:
-            row = [float(f) for f in fields]
+            cells = _read_cells([row])
         except ValueError as exc:
             raise DataFormatError(f"dataset CSV line {lineno}: non-numeric cell") from exc
-        if not all(map(math.isfinite, row)):
+        if not np.isfinite(cells).all():
             raise DataFormatError(f"dataset CSV line {lineno}: non-finite cell")
-        table[i] = row
-    return table
+    raise DataFormatError("dataset CSV: the data rows do not form a table")

@@ -167,6 +167,23 @@ class TestErrorPaths:
         assert run(["fit", "--data", str(bad), "--method", "ridge",
                     "--rho", "0.1", "--out", str(out)]) == 3
 
+    def test_only_newlines_end_lines(self, tmp_path, capsys):
+        # A form feed (or NEL, or U+2028) inside a line does not split it.
+        data, model, out = tmp_path / "data.csv", tmp_path / "model.txt", tmp_path / "out"
+        for char in ("\x0c", "\x85", "\u2028"):
+            data.write_text(f"# grid=midpoint p=2\r\nx_1,x_2,y\r\n1,2,3{char}4,5,6\r\n",
+                            encoding="utf-8")
+            assert run(["fit", "--data", str(data), "--method", "pca", "--m", "1",
+                        "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                "flreg: data format error: dataset CSV line 3: expected 3 columns, got 5\n")
+            data.write_text("# grid=midpoint p=2\rx_1,x_2\r1,2\r")
+            model.write_text(f"method=pca\nm=1\nintercept=0\np=2\n1{char}2\n", encoding="utf-8")
+            assert run(["predict", "--model", str(model), "--data", str(data),
+                        "--out", str(out)]) == 3
+            assert "model file: non-numeric field" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_non_numeric_cell_is_data_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         out = tmp_path / "model.txt"
@@ -464,10 +481,16 @@ FUZZ_VALUES = ("", "0", "-0", "-1", "1", "2", "0.5", "1e308", "1e309", "nan", "i
 NUMBER = re.compile(rb"[-+0-9.e]+")
 
 
+# Inserted bytes: invalid UTF-8, and characters that are not line ends
+# (str.splitlines takes them for one): FF, VT, FS, NEL and U+2028.
+INSERTS = {"utf8": b"\xff", "ff": b"\x0c", "vt": b"\x0b", "fs": b"\x1c",
+           "nel": b"\xc2\x85", "ls": b"\xe2\x80\xa8"}
+
+
 def mutate_bytes(text, kind, at):
     """One mutation of a data or model file's bytes, placed by ``at``."""
-    if kind == "utf8":
-        return text[: at % (len(text) + 1)] + b"\xff" + text[at % (len(text) + 1):]
+    if kind in INSERTS:
+        return text[: at % (len(text) + 1)] + INSERTS[kind] + text[at % (len(text) + 1):]
     if kind == "bom":
         return b"\xef\xbb\xbf" + text
     if kind == "crlf":
@@ -495,7 +518,8 @@ class TestCliFuzz:
             st.tuples(
                 st.booleans(),
                 st.sampled_from(("utf8", "bom", "crlf", "truncate", "empty", "inf",
-                                 "max", "negzero", "separator", "arabic", "padded")),
+                                 "max", "negzero", "separator", "arabic", "padded",
+                                 "ff", "vt", "fs", "nel", "ls")),
                 st.integers(0, 400),
             ),
             max_size=3,

@@ -455,3 +455,28 @@ class TestModelFile:
                      "method=ridge\nrho=1\nintercept=0\np=0\n"):
             with pytest.raises(DataFormatError, match="p >= 2"):
                 model_from_text(text)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_end_lines(self, newline):
+        data, _ = draw_dataset(
+            SimConfig(n=30, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=4)
+        )
+        model = ridge_fit(compute_moments(data), 0.01)
+        text = model_to_text(model).replace("\n", newline)
+        for spaced in (text, newline + text.replace(newline, newline + " " + newline, 5)):
+            restored = model_from_text(spaced)
+            assert restored.intercept == model.intercept
+            assert restored.slope.tobytes() == model.slope.tobytes()
+
+    def test_only_newlines_end_lines(self):
+        # str.splitlines would read "1<FF>2" as the two slope values.
+        from flreg import DataFormatError
+
+        head = "method=pca\nm=1\nintercept=0\np=2\n"
+        assert model_from_text(head + "1\n\x0c2\u2028\n").slope.tolist() == [1.0, 2.0]
+        for char in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028"):
+            with pytest.raises(DataFormatError, match="non-numeric field"):
+                model_from_text(f"{head}1{char}2\n")
+        for values in ("1,2\n", "1,2\n3,4\n", "1,2\n3\n", "1_0\n2\n", "\u0661\n2\n"):
+            with pytest.raises(DataFormatError):
+                model_from_text(head + values)

@@ -289,7 +289,7 @@ class TestDatasetCsv:
             with pytest.raises(DataFormatError, match="p >= 2"):
                 dataset_from_csv(text)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_errors_name_the_physical_line(self, newline):
         lines = ["# grid=midpoint p=2", "", "x_1,x_2,y", "", "1,2,3", "1,zap,3"]
         with pytest.raises(DataFormatError, match="^dataset CSV line 6: non-numeric cell$"):
@@ -310,22 +310,50 @@ class TestDatasetCsv:
         assert X.shape == (0, 2) and Y.shape == (0,)
 
     def test_line_loop_runs_only_when_the_fast_route_rejects(self, monkeypatch):
+        # One np.loadtxt pass reads a valid file; each line is read alone only
+        # after that pass rejects the rows, to name the first bad line.
+        # Spellings that float() reads and np.loadtxt does not (digit
+        # separators, non-ASCII digits) are bad cells.
         calls = []
-        original = simulation._parse_rows_by_line
-
-        def by_line(rows, linenos, n_cols):
-            calls.append(len(rows))
-            return original(rows, linenos, n_cols)
-
-        monkeypatch.setattr(simulation, "_parse_rows_by_line", by_line)
+        read_cells = simulation._read_cells
+        monkeypatch.setattr(simulation, "_read_cells",
+                            lambda rows: calls.append(len(rows)) or read_cells(rows))
         cfg = SimConfig(n=4, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=5)
         data, _ = draw_dataset(cfg)
         _, X, Y = dataset_from_csv(dataset_to_csv(data))
-        assert calls == [] and X.flags.c_contiguous and Y.flags.c_contiguous
-        # float() reads digit separators and non-ASCII digits; loadtxt does not.
-        _, X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n1_0,\u0663,2\n")
-        assert calls == [1]
-        assert X.tolist() == [[10.0, 3.0]] and Y.tolist() == [2.0]
+        assert calls == [4] and X.flags.c_contiguous and Y.flags.c_contiguous
+        for cell in ("1_0", "\u0663", "1\u0663"):
+            calls.clear()
+            text = f"# grid=midpoint p=2\nx_1,x_2,y\n\n1,2,3\n4,{cell},6\n7,8,9\n"
+            with pytest.raises(DataFormatError, match="^dataset CSV line 5: non-numeric cell$"):
+                dataset_from_csv(text)
+            assert calls == [3, 1, 1]
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_only_newlines_end_lines(self, char):
+        # str.splitlines also ends a line at these characters; a data line
+        # holding one is one line, here of 5 cells.
+        head = "# grid=midpoint p=2\nx_1,x_2,y\n"
+        with pytest.raises(DataFormatError, match="^dataset CSV line 3: expected 3 columns, got 5$"):
+            dataset_from_csv(f"{head}1,2,3{char}4,5,6\n1,zap,3\n")
+        # Around a cell it is whitespace, and a line of it alone is blank.
+        rows = f"1{char},2,{char}3\n{char}\n4,5,6\n"
+        _, X, Y = dataset_from_csv(head + rows)
+        assert X.tolist() == [[1.0, 2.0], [4.0, 5.0]] and Y.tolist() == [3.0, 6.0]
+        with pytest.raises(DataFormatError, match="^dataset CSV line 6: non-numeric cell$"):
+            dataset_from_csv(head + rows + "1,zap,3\n")
+
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    @pytest.mark.parametrize("n", [2, 5, 2000])
+    def test_round_trip_is_bit_exact_under_every_line_end(self, spacing, n):
+        data, _ = draw_dataset(SimConfig(n=n, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=n))
+        lines = dataset_to_csv(data).split("\n")
+        spaced = lines[:1] + ["", " \t"] + lines[1:3] + ["\x0c"] + lines[3:] + ["", ""]
+        for newline in ("\n", "\r\n", "\r"):
+            for text in (newline.join(lines), newline.join(spaced)):
+                _, X, Y = dataset_from_csv(text)
+                assert X.tobytes() == data.X.tobytes() and Y.tobytes() == data.Y.tobytes()
 
 
 def _separate_digits(cell):
@@ -353,47 +381,83 @@ CSV_CELLS = st.tuples(
     ),
     st.sampled_from(("", "", " ", "\t")),
 ).map("".join)
+# Characters that str.splitlines, but not a dataset CSV, takes for line ends.
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
 
 @st.composite
 def dataset_csv_text(draw):
     """Dataset CSV text from random rows: cells in several spellings, rows
-    short and long, blank lines and CRLF."""
+    short and long, rows holding a character that is not a line end, blank
+    lines, and CRLF or lone-CR line ends."""
     p = draw(st.integers(2, 3))
     has_y = draw(st.booleans())
     n_cols = p + 1 if has_y else p
     width = st.sampled_from((n_cols, n_cols, n_cols, n_cols - 1, n_cols + 1))
-    rows = draw(st.lists(width.flatmap(lambda k: st.lists(CSV_CELLS, min_size=k,
-                                                              max_size=k)), max_size=3))
+    rows = [",".join(row) for row in draw(st.lists(
+        width.flatmap(lambda k: st.lists(CSV_CELLS, min_size=k, max_size=k)), max_size=3))]
+    for i, at in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99)), max_size=2)):
+        if i < len(rows):
+            at %= len(rows[i]) + 1
+            rows[i] = rows[i][:at] + draw(st.sampled_from(NOT_LINE_ENDS)) + rows[i][at:]
     header = ",".join([f"x_{i}" for i in range(1, p + 1)] + (["y"] if has_y else []))
-    lines = [f"# grid=midpoint p={p}", header] + [",".join(row) for row in rows]
+    lines = [f"# grid=midpoint p={p}", header] + rows
     for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
-    newline = draw(st.sampled_from(("\n", "\r\n")))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(("", " ", "\t", "\x0c"))))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
     return newline.join(lines) + newline, p, has_y
+
+
+def oracle_cell(cell):
+    """A cell's value as np.loadtxt reads it, or None if it is not a number:
+    the whitespace str.strip() removes is ignored, and what is left must be
+    ASCII without digit separators and read by float()."""
+    core = cell.strip()
+    if not core.isascii() or "_" in core:
+        return None
+    try:
+        return float(core)
+    except ValueError:
+        return None
+
+
+def oracle_table(text, n_cols):
+    """The data rows of dataset CSV text (with valid metadata and header
+    lines) as a list of rows, or the error for its first bad line: column
+    count first, then non-numeric cells, then non-finite ones."""
+    lines = re.split("\r\n|\r|\n", text)
+    numbered = [(no, line) for no, line in enumerate(lines, 1) if line.strip()][2:]
+    table = []
+    for lineno, line in numbered:
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            return None, f"dataset CSV line {lineno}: expected {n_cols} columns, got {len(cells)}"
+        values = [oracle_cell(cell) for cell in cells]
+        if None in values:
+            return None, f"dataset CSV line {lineno}: non-numeric cell"
+        if not all(map(math.isfinite, values)):
+            return None, f"dataset CSV line {lineno}: non-finite cell"
+        table.append(values)
+    return table, None
 
 
 class TestDatasetCsvFastRoute:
     @given(case=dataset_csv_text())
     @settings(max_examples=250, deadline=None)
     def test_matches_the_line_loop(self, case):
-        # The loadtxt route gives the line loop's values bit for bit, or
-        # the line loop's error message.
+        # dataset_from_csv gives the values of an independent per-line,
+        # per-cell oracle bit for bit, or its error message.
         text, p, has_y = case
-        numbered = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
-        linenos = [no for no, _ in numbered][2:]
-        rows = [line for _, line in numbered][2:]
-        try:
-            expected, message = simulation._parse_rows_by_line(rows, linenos, p + has_y), None
-        except DataFormatError as exc:
-            expected, message = None, str(exc)
+        table, message = oracle_table(text, p + has_y)
         try:
             _, X, Y = dataset_from_csv(text, require_y=has_y)
         except DataFormatError as exc:
             assert str(exc) == message
             return
         assert message is None
-        assert X.flags.c_contiguous and X.shape == (len(rows), p)
+        expected = np.array(table).reshape(len(table), p + has_y)
+        assert X.flags.c_contiguous and X.shape == (len(table), p)
         assert X.tobytes() == np.ascontiguousarray(expected[:, :p]).tobytes()
         if has_y:
             assert Y.flags.c_contiguous
