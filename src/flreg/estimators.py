@@ -270,42 +270,67 @@ def _nonblank_lines(text: str) -> tuple[list[int], list[str]]:
 _read_cells = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
 
 
+def _parse_rows(rows: list[str], linenos: list[int], n_cols: int, what: str) -> np.ndarray:
+    """The (len(rows), n_cols) table of finite cells in the rows of a ``what``
+    ("dataset CSV" or "model file") on lines ``linenos``, in one
+    ``_read_cells`` pass.  If that pass rejects the rows, each is read alone
+    by the same call, only to raise the first bad line's error."""
+    # np.loadtxt skips an empty row (an empty model header value), and warns
+    # when no row is left; such a row is one cell that is not a number.
+    if all(rows):
+        try:
+            table = _read_cells(rows) if rows else np.empty((0, n_cols))
+            if table.shape == (len(rows), n_cols) and np.isfinite(table).all():
+                return table
+        except ValueError:
+            pass
+    for lineno, row in zip(linenos, rows):
+        n_cells = row.count(",") + 1
+        if n_cells != n_cols:
+            raise DataFormatError(
+                f"{what} line {lineno}: expected {n_cols} columns, got {n_cells}"
+            )
+        try:
+            if not row:
+                raise ValueError("empty cell")
+            cells = _read_cells([row])
+        except ValueError as exc:
+            raise DataFormatError(f"{what} line {lineno}: non-numeric cell") from exc
+        if not np.isfinite(cells).all():
+            raise DataFormatError(f"{what} line {lineno}: non-finite cell")
+    raise DataFormatError(f"{what}: the data rows do not form a table")
+
+
 def model_from_text(text: str) -> FittedModel:
-    """Parse a model file produced by ``model_to_text``, split and read as a
-    dataset CSV is (``_nonblank_lines``, ``_read_cells``)."""
-    _, lines = _nonblank_lines(text)
+    """Parse a model file produced by ``model_to_text``: its header values
+    and slope values are one column of cells, split and read as a dataset
+    CSV's rows are (``_nonblank_lines``, ``_parse_rows``)."""
+    linenos, lines = _nonblank_lines(text)
     if len(lines) < 4:
         raise DataFormatError("model file truncated: missing header lines")
 
-    def _field(line: str, key: str) -> str:
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise DataFormatError(f"model file: expected '{prefix}...', got {line!r}")
-        return line[len(prefix):]
+    def _error(i: int, message: str) -> DataFormatError:
+        return DataFormatError(f"model file line {linenos[i]}: {message}")
 
-    method = _field(lines[0], "method")
+    def _field(i: int, key: str) -> str:
+        if not lines[i].startswith(key + "="):
+            raise _error(i, f"expected '{key}=...', got {lines[i]!r}")
+        return lines[i][len(key) + 1:]
+
+    method = _field(0, "method")
     if method not in ("pca", "ridge"):
-        raise DataFormatError(f"model file: unknown method {method!r}")
-    if any("," in line for line in lines[4:]):
-        raise DataFormatError("model file: expected one slope value per line")
-    try:
-        if method == "pca":
-            parameter = float(int(_field(lines[1], "m")))
-        else:
-            parameter = float(_field(lines[1], "rho"))
-        intercept = float(_field(lines[2], "intercept"))
-        p = int(_field(lines[3], "p"))
-        values = _read_cells(lines[4:])[:, 0] if len(lines) > 4 else np.empty(0)
-    except ValueError as exc:
-        raise DataFormatError(f"model file: non-numeric field ({exc})") from exc
-    if p < 2:
-        raise DataFormatError(f"model file: need a grid of p >= 2 points, got p={p}")
-    if method == "pca" and parameter < 1:
-        raise DataFormatError(f"model file: need m >= 1, got {parameter:g}")
-    if method == "ridge" and not 0.0 < parameter < math.inf:
-        raise DataFormatError(f"model file: need finite rho > 0, got {parameter:g}")
-    if not (math.isfinite(intercept) and np.all(np.isfinite(values))):
-        raise DataFormatError("model file: non-finite intercept or slope value")
+        raise _error(0, f"unknown method {method!r}")
+    key = "m" if method == "pca" else "rho"
+    header = [_field(1, key), _field(2, "intercept"), _field(3, "p")]
+    column = _parse_rows(header + lines[4:], linenos[1:], 1, "model file")[:, 0]
+    parameter, intercept, p = column[:3].tolist()
+    if method == "pca" and not (parameter >= 1 and parameter.is_integer()):
+        raise _error(1, f"need an integer m >= 1, got m={parameter!r}")
+    if method == "ridge" and not parameter > 0:
+        raise _error(1, f"need rho > 0, got rho={parameter!r}")
+    if not (p >= 2 and p.is_integer()):
+        raise _error(3, f"need a grid of p >= 2 points, got p={p!r}")
+    values = column[3:]
     if len(values) != p:
-        raise DataFormatError(f"model file: expected {p} slope values, found {len(values)}")
+        raise DataFormatError(f"model file: expected {int(p)} slope values, found {len(values)}")
     return FittedModel(slope=values, intercept=intercept, method=method, parameter=parameter)

@@ -35,7 +35,6 @@ import ctypes
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
 
@@ -244,6 +243,8 @@ def mc_run(
 
     starts = range(0, replications, CHUNK)
     if threads > 1 and len(starts) > 1:
+        # Imported here, as it adds several ms to every start of the CLI.
+        from concurrent.futures import ThreadPoolExecutor
         with _one_blas_thread(), ThreadPoolExecutor(min(threads, len(starts))) as pool:
             # Each chunk runs in its own copy of the caller's context, so under
             # the caller's numpy error state.

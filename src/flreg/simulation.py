@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, ParameterError
-from .estimators import Dataset, _nonblank_lines, _read_cells
+from .estimators import Dataset, _nonblank_lines, _parse_rows
 from .grid import Grid
 
 __all__ = [
@@ -301,7 +301,7 @@ def dataset_from_csv(
         raise DataFormatError(
             f"dataset CSV header does not match the declared grid size p={p}"
         )
-    table = _parse_rows(lines[2:], linenos[2:], p + 1 if has_y else p)
+    table = _parse_rows(lines[2:], linenos[2:], p + 1 if has_y else p, "dataset CSV")
     if has_y:
         X = np.ascontiguousarray(table[:, :p])
         Y = np.ascontiguousarray(table[:, p])
@@ -311,30 +311,3 @@ def dataset_from_csv(
     X.setflags(write=False)
     return grid, X, Y
 
-
-def _parse_rows(rows: list[str], linenos: list[int], n_cols: int) -> np.ndarray:
-    """The (len(rows), n_cols) table of finite cells in nonblank data rows,
-    which sit on lines ``linenos`` of the text, in one ``_read_cells`` pass.
-    If that pass rejects the rows, each line is read alone by the same call,
-    only to raise the first bad line's error."""
-    if not rows:  # loadtxt warns on empty input
-        return np.empty((0, n_cols))
-    try:
-        table = _read_cells(rows)
-        if table.shape == (len(rows), n_cols) and np.isfinite(table).all():
-            return table
-    except ValueError:
-        pass
-    for lineno, row in zip(linenos, rows):
-        n_cells = row.count(",") + 1
-        if n_cells != n_cols:
-            raise DataFormatError(
-                f"dataset CSV line {lineno}: expected {n_cols} columns, got {n_cells}"
-            )
-        try:
-            cells = _read_cells([row])
-        except ValueError as exc:
-            raise DataFormatError(f"dataset CSV line {lineno}: non-numeric cell") from exc
-        if not np.isfinite(cells).all():
-            raise DataFormatError(f"dataset CSV line {lineno}: non-finite cell")
-    raise DataFormatError("dataset CSV: the data rows do not form a table")

@@ -181,8 +181,51 @@ class TestErrorPaths:
             model.write_text(f"method=pca\nm=1\nintercept=0\np=2\n1{char}2\n", encoding="utf-8")
             assert run(["predict", "--model", str(model), "--data", str(data),
                         "--out", str(out)]) == 3
-            assert "model file: non-numeric field" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                "flreg: data format error: model file line 5: non-numeric cell\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("method=pca\nm=1\nintercept=1_0\np=2\n1\n2\n", "model file line 3: non-numeric cell"),
+        ("method=ridge\nrho=\u0663\nintercept=0\np=2\n1\n2\n",
+         "model file line 2: non-numeric cell"),
+        ("method=pca\nm=1\nintercept=0\np=0x2\n1\n2\n", "model file line 4: non-numeric cell"),
+        ("method=pca\nm=1\nintercept=\np=2\n1\n2\n", "model file line 3: non-numeric cell"),
+        ("method=pca\nm=1\nintercept=0\np=2\n1\x0c2\n", "model file line 5: non-numeric cell"),
+        ("method=pca\r\nm=1\r\n\r\nintercept=0\r\np=2\r\n1\r\nzap\r\n",
+         "model file line 7: non-numeric cell"),
+        ("method=pca\nm=1\nintercept=nan\np=2\n1\n2\n", "model file line 3: non-finite cell"),
+        ("method=pca\nm=2.5\nintercept=0\np=2\n1\n2\n",
+         "model file line 2: need an integer m >= 1, got m=2.5"),
+        ("method=pca\nm=\nintercept=\np=\n", "model file line 2: non-numeric cell"),
+        ("method=pca\nm=1\nintercept=0\np=2\n1,2\n2\n",
+         "model file line 5: expected 1 columns, got 2"),
+        ("method=ridge\n\nrho=0.1\nintercept=0\np=2.5\n1\n2\n",
+         "model file line 5: need a grid of p >= 2 points, got p=2.5"),
+        ("method=pca\nrho=0.1\nintercept=0\np=2\n1\n2\n",
+         "model file line 2: expected 'm=...', got 'rho=0.1'"),
+    ])
+    def test_model_file_errors_name_their_line(self, tmp_path, capsys, text, message):
+        # Header values are cells like the slope values: the same grammar,
+        # and the same message naming the line in the file.
+        data, model, out = tmp_path / "data.csv", tmp_path / "model.txt", tmp_path / "out"
+        data.write_text("# grid=midpoint p=2\nx_1,x_2\n1,2\n")
+        model.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning for an empty value
+            assert run(["predict", "--model", str(model), "--data", str(data),
+                        "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"flreg: data format error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["m=4.0\nintercept=0\np=2", "m=4e0\nintercept=0\np= 2e0 "])
+    def test_integral_header_values_in_any_spelling_load(self, tmp_path, header):
+        data, model, out = tmp_path / "data.csv", tmp_path / "model.txt", tmp_path / "out"
+        data.write_text("# grid=midpoint p=2\nx_1,x_2\n1,2\n")
+        model.write_text(f"method=pca\n{header}\n1\n2\n")
+        assert run(["predict", "--model", str(model), "--data", str(data),
+                    "--out", str(out)]) == 0
+        assert read(out) == "2.5\n"
 
     def test_non_numeric_cell_is_data_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -321,6 +364,17 @@ class TestPredictThreads:
             outputs.append(out.read_bytes())
         assert len(outputs[0].splitlines()) == 2000
         assert outputs[0] == outputs[1]
+
+
+class TestStartup:
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        # concurrent.futures pulls in logging, queue and traceback; only
+        # mc_run's multi-chunk, multi-thread branch needs it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flreg.__file__)))
+        code = "import sys, flreg, flreg.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, check=True, timeout=120)
+        assert result.stdout == "False\n"
 
 
 class TestMcTableThreads:
@@ -503,7 +557,8 @@ def mutate_bytes(text, kind, at):
     cell = cells[at % len(cells)]
     value = {"empty": b"", "inf": b"1e309", "max": b"1e308", "negzero": b"-0",
              "separator": b"1_0", "arabic": "\u0663".encode(),
-             "padded": b" \t" + cell.group() + b" "}[kind]
+             "padded": b" \t" + cell.group() + b" ", "hex": b"0x2", "half": b"2.5",
+             "nan": b"nan"}[kind]
     return text[: cell.start()] + value + text[cell.end():]
 
 
@@ -519,7 +574,7 @@ class TestCliFuzz:
                 st.booleans(),
                 st.sampled_from(("utf8", "bom", "crlf", "truncate", "empty", "inf",
                                  "max", "negzero", "separator", "arabic", "padded",
-                                 "ff", "vt", "fs", "nel", "ls")),
+                                 "hex", "half", "nan", "ff", "vt", "fs", "nel", "ls")),
                 st.integers(0, 400),
             ),
             max_size=3,

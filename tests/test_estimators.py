@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from dense_ridge import dense_ridge
 from flreg import (
+    DataFormatError,
     Dataset,
     DimensionMismatchError,
+    FittedModel,
     Grid,
     InsufficientDataError,
     ParameterError,
@@ -22,6 +25,7 @@ from flreg import (
     ridge_fit,
     usable_rank,
 )
+from flreg import estimators
 from flreg.estimators import (
     cutoff_path,
     model_from_text,
@@ -428,7 +432,97 @@ class TestInterceptAndPredict:
             Dataset(GRID, np.zeros((3, 20)), np.zeros(3))
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (5e-324, -1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308, -0.0))
+
+
+@st.composite
+def fitted_models(draw):
+    """A pca or ridge model of p in 2..60 finite slope values."""
+    method = draw(st.sampled_from(("pca", "ridge")))
+    if method == "pca":
+        parameter = float(draw(st.integers(1, 10**6)))
+    else:
+        parameter = draw(st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+    slope = draw(st.lists(FINITE, min_size=2, max_size=60))
+    return FittedModel(slope=np.array(slope), intercept=draw(FINITE), method=method,
+                       parameter=parameter)
+
+
+PADDING = st.sampled_from(("", "", " ", "\t", " \t"))
+HEADER_VALUES = st.one_of(
+    st.tuples(
+        PADDING,
+        st.one_of(
+            st.integers(-1, 6).flatmap(lambda k: st.sampled_from(
+                (f"{k}", f"{k}.0", f"{k}e0", f"+{k}", f"{k}.", f"{10 * k}e-1"))),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        ),
+        PADDING,
+    ).map("".join),
+    st.sampled_from(("1_0", "\u0663", "0x2", "nan", "1e999", "", "2.5")),
+)
+HEADER_RANGES = {"m": lambda v: v >= 1 and v.is_integer(), "rho": lambda v: v > 0,
+                 "intercept": lambda v: True, "p": lambda v: v >= 2 and v.is_integer()}
+
+
+def one_finite_cell(value):
+    """The value of ``value`` as a one-cell dataset CSV row, or None if it is
+    not one finite cell."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # np.loadtxt warns on an empty row
+        try:
+            cells = estimators._read_cells([value])
+        except ValueError:
+            return None
+    if cells.shape != (1, 1) or not np.isfinite(cells[0, 0]):
+        return None
+    return float(cells[0, 0])
+
+
 class TestModelFile:
+    @given(model=fitted_models(), newline=st.sampled_from(("\n", "\r\n", "\r")),
+           blanks=st.lists(st.tuples(st.integers(0, 70), st.sampled_from(("", " ", "\x0c"))),
+                           max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_random_models_round_trip_bit_for_bit(self, model, newline, blanks):
+        lines = model_to_text(model).split("\n")
+        for at, blank in blanks:
+            lines.insert(at % len(lines), blank)
+        restored = model_from_text(newline.join(lines))
+        assert restored.method == model.method
+        assert np.float64(restored.parameter).tobytes() == np.float64(model.parameter).tobytes()
+        assert np.float64(restored.intercept).tobytes() == np.float64(model.intercept).tobytes()
+        assert restored.slope.tobytes() == model.slope.tobytes()
+
+    @given(key=st.sampled_from(("m", "rho", "intercept", "p")), value=HEADER_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_header_value_loads_exactly_when_it_is_a_cell(self, key, value):
+        # A header value is accepted exactly when it is one finite dataset
+        # CSV cell in range, integral for m and p; otherwise the error names
+        # its line.
+        cell = one_finite_cell(value)
+        valid = cell is not None and HEADER_RANGES[key](cell)
+        fields = {"m": "3", "rho": "0.5", "intercept": "0", "p": "2", key: value}
+        p = int(cell) if key == "p" and valid and cell <= 60 else 2
+        tuning = "rho" if key == "rho" else "m"
+        method = "ridge" if key == "rho" else "pca"
+        text = (f"method={method}\n{tuning}={fields[tuning]}\nintercept={fields['intercept']}\n"
+                f"p={fields['p']}\n" + "1.5\n" * p)
+        if not valid:
+            line = {"m": 2, "rho": 2, "intercept": 3, "p": 4}[key]
+            with pytest.raises(DataFormatError, match=f"^model file line {line}: "):
+                model_from_text(text)
+        elif key == "p" and p != cell:
+            with pytest.raises(DataFormatError, match="^model file: expected .* slope values"):
+                model_from_text(text)
+        else:
+            model = model_from_text(text)
+            got = {"m": model.parameter, "rho": model.parameter, "intercept": model.intercept,
+                   "p": model.slope.size}[key]
+            assert np.float64(got).tobytes() == np.float64(cell).tobytes()
+
+
     @pytest.mark.parametrize("method,param", [("pca", 4), ("ridge", 0.037)])
     def test_round_trip_is_lossless(self, method, param):
         data, _ = draw_dataset(
@@ -475,7 +569,7 @@ class TestModelFile:
         head = "method=pca\nm=1\nintercept=0\np=2\n"
         assert model_from_text(head + "1\n\x0c2\u2028\n").slope.tolist() == [1.0, 2.0]
         for char in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028"):
-            with pytest.raises(DataFormatError, match="non-numeric field"):
+            with pytest.raises(DataFormatError, match="^model file line 5: non-numeric cell$"):
                 model_from_text(f"{head}1{char}2\n")
         for values in ("1,2\n", "1,2\n3,4\n", "1,2\n3\n", "1_0\n2\n", "\u0661\n2\n"):
             with pytest.raises(DataFormatError):

@@ -20,7 +20,7 @@ from flreg import (
     true_slope,
     truth_bundle,
 )
-from flreg import simulation
+from flreg import estimators, simulation
 from flreg.simulation import dataset_from_csv, dataset_to_csv, slope_coefficients
 
 GRID = Grid(50)
@@ -315,8 +315,8 @@ class TestDatasetCsv:
         # Spellings that float() reads and np.loadtxt does not (digit
         # separators, non-ASCII digits) are bad cells.
         calls = []
-        read_cells = simulation._read_cells
-        monkeypatch.setattr(simulation, "_read_cells",
+        read_cells = estimators._read_cells
+        monkeypatch.setattr(estimators, "_read_cells",
                             lambda rows: calls.append(len(rows)) or read_cells(rows))
         cfg = SimConfig(n=4, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=5)
         data, _ = draw_dataset(cfg)
