@@ -144,25 +144,19 @@ def _replication_moments(
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
-    found by its path among the process's mapped files; None without it."""
+    """(get, set) of the thread count of the scipy-openblas that numpy links,
+    looked up through numpy's linalg extension: the loader resolves the
+    names in the extension's dependencies, so these are the calls of the
+    OpenBLAS behind ``eigh`` and ``matmul``.  None without it."""
     try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
-                     if "openblas" in line}
-    except OSError:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
         return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 # Holders of the one-thread BLAS pin, and the count the first one saved.

@@ -262,7 +262,8 @@ def dataset_to_csv(data: Dataset) -> str:
     # One row at a time: a whole-matrix tolist() would hold n * p Python floats.
     for x, y in zip(data.X, data.Y.tolist()):
         lines.append(row_format % (*x.tolist(), y))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def dataset_from_csv(

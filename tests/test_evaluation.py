@@ -1,5 +1,7 @@
 import math
+import os
 import statistics
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from dense_ridge import dense_ridge
+import flreg
 from flreg import (
     McResult,
     ParameterError,
@@ -152,6 +155,25 @@ class TestMcRun:
         for chunk in (1, 7, 150):
             monkeypatch.setattr(evaluation, "CHUNK", chunk)
             assert text(2) == reference
+
+    def test_blas_pin_is_found_where_numpy_links_scipy_openblas(self):
+        # A lookup that silently finds nothing would turn the pin off and skip
+        # the pin tests below, so it must succeed wherever numpy says it links
+        # scipy-openblas.
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):  # numpy < 1.26 has no build-config dicts
+            pytest.skip("numpy does not report its BLAS")
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy links {blas}, not scipy-openblas")
+        assert evaluation._openblas_threads() is not None
+        # The count is the one numpy's OpenBLAS read from the environment.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flreg.__file__)))
+        code = "from flreg import evaluation; print(evaluation._openblas_threads()[0]())"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                                check=True, timeout=120)
+        assert result.stdout == "1\n"
 
     def test_blas_held_at_one_thread_in_the_pool_and_restored(self, monkeypatch):
         calls = evaluation._openblas_threads()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,18 @@ class TestDatasetCsv:
         assert rows == [
             ",".join(f"{v:.17g}" for v in [*x, y]) for x, y in zip(X, data.Y)
         ]
+
+    def test_text_is_built_without_a_second_copy(self):
+        data, _ = draw_dataset(SimConfig(n=2000, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=5))
+        tracemalloc.start()
+        try:
+            text = dataset_to_csv(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The row strings and the joined text; appending the final newline to
+        # the joined text would add a third copy.
+        assert peak < 2.5 * len(text)
 
     def test_metadata_line_required(self):
         cfg = SimConfig(n=3, sigma_eps=0.0, alpha=2.0, spacing="well_spaced", seed=1)
