@@ -5,11 +5,11 @@ dataset CSV), predict (apply a model file to new curves), mc-table (Monte
 Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
-Exit codes: 0 success, 2 usage, 3 data format, 4 numeric/precondition
-(out of memory included), 5 I/O.  File outputs are written to temporary
-files and atomically renamed, so a failing run never leaves a partial
-output behind; a command with two outputs (mc-table --out --profile)
-writes both or neither.
+Exit codes: 0 success, 2 usage (--threads below 1 included), 3 data format,
+4 numeric/precondition (out of memory and non-finite Monte Carlo errors
+included), 5 I/O.  File outputs are written to temporary files and
+atomically renamed, so a failing run never leaves a partial output behind;
+a command with two outputs (mc-table --out --profile) writes both or neither.
 """
 
 from __future__ import annotations
@@ -73,6 +73,15 @@ def _spacing(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"spacing must be 'well' or 'closely', got {text!r}"
         ) from None
+
+
+def _thread_count(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     mct.add_argument("--alpha", type=_float_list, required=True, help="comma list")
     mct.add_argument("--reps", type=int, default=200)
     mct.add_argument("--seed", type=int, default=0)
-    mct.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    mct.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     mct.add_argument("--m-max", type=int, default=max(DEFAULT_M_GRID))
     mct.add_argument("--rho-count", type=int, default=25)
     mct.add_argument("--rho-min", type=float, default=1e-6)
@@ -290,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--sigma", type=float, default=0.5)
     rate.add_argument("--reps", type=int, default=200)
     rate.add_argument("--seed", type=int, default=0)
-    rate.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    rate.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     rate.add_argument("--out")
     rate.set_defaults(func=_cmd_rate_check)
 

@@ -17,6 +17,7 @@ aggregates, per candidate and on the evaluation grid,
     MISE   = Bias^2 + Var,
 
 with the population divisor R so the decomposition is an exact identity.
+``McResult`` derives MISE as that sum and rejects a negative or non-finite cell.
 The tuning parameters are oracle-chosen: m_star and rho_star minimize the
 Monte Carlo MISE over their grids, ties resolved toward the smaller m and
 the larger rho (more regularisation).
@@ -80,7 +81,8 @@ def default_rho_grid(count: int = 25, lo: float = 1e-6, hi: float = 1.0) -> tupl
 
 @dataclass(frozen=True)
 class McResult:
-    """Oracle-tuned Monte Carlo error summary for one scenario."""
+    """Oracle-tuned Monte Carlo error summary for one scenario.  Each MISE is
+    Bias^2 + Var, derived on read; components are >= 0, every MISE finite."""
 
     config: SimConfig
     replications: int
@@ -90,21 +92,25 @@ class McResult:
     bias2_ridge: float
     var_pca: float
     var_ridge: float
-    mise_pca: float
-    mise_ridge: float
     m_profile: tuple[tuple[int, float], ...]  # (candidate m, mise)
     rho_profile: tuple[tuple[float, float], ...]  # (candidate rho, mise)
     excluded_m: tuple[int, ...] = ()
 
+    @property
+    def mise_pca(self) -> float:
+        return self.bias2_pca + self.var_pca
+
+    @property
+    def mise_ridge(self) -> float:
+        return self.bias2_ridge + self.var_ridge
+
     def __post_init__(self) -> None:
-        for bias2, var, mise in (
-            (self.bias2_pca, self.var_pca, self.mise_pca),
-            (self.bias2_ridge, self.var_ridge, self.mise_ridge),
-        ):
-            if min(bias2, var, mise) < 0.0:
-                raise ParameterError("error components must be nonnegative")
-            if abs(mise - (bias2 + var)) > 1e-10 * (1.0 + mise):
-                raise ParameterError("MISE must equal Bias^2 + Var")
+        parts = (self.bias2_pca, self.bias2_ridge, self.var_pca, self.var_ridge)
+        mises = [self.mise_pca, self.mise_ridge] + [e for _, e in self.m_profile + self.rho_profile]
+        if not (all(c >= 0.0 for c in parts) and all(map(math.isfinite, mises))):
+            cfg = self.config
+            raise ParameterError(f"Monte Carlo errors for n={cfg.n} alpha={cfg.alpha:g} "
+                                 f"sigma_eps={cfg.sigma_eps:g} are negative or not finite")
 
 
 def integrated_bias_var(
@@ -209,6 +215,8 @@ def mc_run(
     """
     if replications < 2:
         raise ParameterError(f"need at least 2 replications, got {replications}")
+    if threads < 1:
+        raise ParameterError(f"need at least 1 thread, got {threads}")
     m_grid = tuple(sorted({int(m) for m in m_grid}))
     if rho_grid is None:
         rho_grid = default_rho_grid()
@@ -270,8 +278,6 @@ def mc_run(
         bias2_ridge=float(ridge_bias2[k]),
         var_pca=float(pca_var[i]),
         var_ridge=float(ridge_var[k]),
-        mise_pca=float(pca_mise[i]),
-        mise_ridge=float(ridge_mise[k]),
         m_profile=tuple(zip(valid_m, pca_mise.tolist())),
         rho_profile=tuple(zip(rho_grid, ridge_mise.tolist())),
         excluded_m=tuple(m for m in m_grid if m > rank),

@@ -12,7 +12,8 @@ bounds for eigenvalues and (sign-aligned) eigenfunctions of nearby
 symmetric operators: the eigenvalue gap is at most the Hilbert-Schmidt
 distance of the kernels, and the eigenfunction distance at rank j is at
 most sqrt(8) times that distance divided by the running minimum delta_j of
-adjacent spectral gaps.
+adjacent spectral gaps (Hall & Hosseini-Nasab 2006).  The report holds the
+per-rank values as columns, one read-only (j_max,) array each.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import DegenerateSpectrumError, DimensionMismatchError, ParameterEr
 from .grid import _require_symmetric
 
 __all__ = [
-    "PerturbationIndexRow",
     "PerturbationReport",
     "eigendecompose",
     "eigh_stack",
@@ -98,34 +98,29 @@ def _spectra(kernel, other) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True)
-class PerturbationIndexRow:
-    """Per-rank diagnostics for one eigenpair comparison.
+class PerturbationReport:
+    """Stability diagnostics for one pair of kernels.
 
-    ``min_gap`` is the running minimum, over ranks k <= j, of the adjacent
-    reference gaps kappa_k - kappa_{k+1}.  The two slacks are the amounts by
-    which the eigenvalue and eigenfunction stability bounds hold (negative
-    slack would mean a violated bound).
+    Each array is read-only and holds one value per eigenvalue rank, rank j
+    at index j - 1.  ``min_gap`` is the running minimum, over ranks
+    k <= j, of the adjacent reference gaps kappa_k - kappa_{k+1}.  The two
+    slacks are the amounts by which the eigenvalue and eigenfunction
+    stability bounds hold (negative slack would mean a violated bound).
     """
 
-    j: int  # 1-based eigenvalue rank
-    min_gap: float
-    eigenfunction_distance: float
-    slack_eigenvalue: float
-    slack_eigenfunction: float
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
     hs_gap: float  # Hilbert-Schmidt distance between the two kernels
     max_eigen_gap: float  # sup over all ranks of |kappa_j - lambda_j|
-    rows: tuple[PerturbationIndexRow, ...]
+    min_gap: np.ndarray  # (j_max,)
+    eigenfunction_distance: np.ndarray  # (j_max,) ||psi_j - phi_j||
+    slack_eigenvalue: np.ndarray  # (j_max,)
+    slack_eigenfunction: np.ndarray  # (j_max,)
 
 
 def perturbation_report(
     kernel: np.ndarray, other: np.ndarray, j_max: int
 ) -> PerturbationReport:
     """Numerically evaluate the spectral stability bounds for a pair of
-    (p, p) kernels.
+    (p, p) kernels, at ranks 1..j_max.
 
     ``kernel`` provides the reference spectrum (its eigenvalues must be
     distinct down to rank ``j_max``); ``other`` is the perturbed kernel.
@@ -137,33 +132,22 @@ def perturbation_report(
     if not 1 <= j_max <= p - 1:
         raise ParameterError(f"j_max must lie in [1, {p - 1}], got {j_max}")
 
-    gaps = ref_vals[:-1] - ref_vals[1:]
-    min_gaps = np.minimum.accumulate(gaps)
-    if min_gaps[j_max - 1] <= 0.0:
-        raise DegenerateSpectrumError(
-            f"reference spectrum tied at or before rank {j_max}"
-        )
+    min_gap = np.minimum.accumulate(ref_vals[:j_max] - ref_vals[1 : j_max + 1])
+    if min_gap[-1] <= 0.0:
+        raise DegenerateSpectrumError(f"reference spectrum tied at or before rank {j_max}")
 
     diff = kernel - other
     gap = float(np.sqrt(np.sum(diff * diff))) / p  # Hilbert-Schmidt distance
     eigen_gaps = np.abs(ref_vals - per_vals)
-
-    rows = []
-    for j in range(1, j_max + 1):
-        diff = ref_vecs[:, j - 1] - per_vecs[:, j - 1]
-        dist = math.sqrt(float(np.dot(diff, diff)) / p)
-        rows.append(
-            PerturbationIndexRow(
-                j=j,
-                min_gap=float(min_gaps[j - 1]),
-                eigenfunction_distance=dist,
-                slack_eigenvalue=gap - float(eigen_gaps[j - 1]),
-                slack_eigenfunction=math.sqrt(8.0) * gap - float(min_gaps[j - 1]) * dist,
-            )
-        )
-    return PerturbationReport(
-        hs_gap=gap, max_eigen_gap=float(np.max(eigen_gaps)), rows=tuple(rows)
-    )
+    # One dot per fresh (p,) difference: a reduction over the (p, j_max)
+    # block would sum in another order and move the last bits.
+    diffs = (ref_vecs[:, j] - per_vecs[:, j] for j in range(j_max))
+    distance = np.sqrt(np.array([np.dot(d, d) for d in diffs]) / p)
+    columns = (min_gap, distance, gap - eigen_gaps[:j_max],
+               math.sqrt(8.0) * gap - min_gap * distance)
+    for column in columns:
+        column.setflags(write=False)
+    return PerturbationReport(gap, float(np.max(eigen_gaps)), *columns)
 
 
 def resolvent_identity_residual(kernel: np.ndarray, other: np.ndarray, j: int) -> float:
@@ -217,9 +201,8 @@ def report_to_tsv(report: PerturbationReport) -> str:
         f"# hs_gap={report.hs_gap:.17g}\tmax_eigen_gap={report.max_eigen_gap:.17g}",
         "j\tmin_gap\teigenfunction_distance\tslack_eigenvalue\tslack_eigenfunction",
     ]
-    for row in report.rows:
-        lines.append(
-            f"{row.j}\t{row.min_gap:.17g}\t{row.eigenfunction_distance:.17g}"
-            f"\t{row.slack_eigenvalue:.17g}\t{row.slack_eigenfunction:.17g}"
-        )
+    columns = (report.min_gap, report.eigenfunction_distance,
+               report.slack_eigenvalue, report.slack_eigenfunction)
+    for j, values in enumerate(zip(*(c.tolist() for c in columns)), start=1):
+        lines.append("\t".join([str(j)] + [f"{v:.17g}" for v in values]))
     return "\n".join(lines) + "\n"

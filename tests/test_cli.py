@@ -302,6 +302,10 @@ class TestErrorPaths:
          "Y contains non-finite"),
         (["mc-table", "--spacing", "well", "--sigma", "1e308", "--n", "5", "--alpha", "2",
           "--reps", "130", "--threads", "2"], "replication cross-covariances"),
+        (["mc-table", "--spacing", "well", "--sigma", "1e300", "--n", "50", "--alpha", "2",
+          "--reps", "4"], "Monte Carlo errors for n=50 alpha=2 sigma_eps=1e+300"),
+        (["rate-check", "--alpha", "2", "--beta", "2", "--n", "50,60,70", "--reps", "3",
+          "--sigma", "1e300"], "Monte Carlo errors for n=50 alpha=2 sigma_eps=1e+300"),
     ])
     def test_overflow_is_one_line(self, tmp_path, capsys, argv, message):
         # Finite inputs whose prediction, moments or noise overflow: the
@@ -464,6 +468,20 @@ class TestBatchCommands:
         assert "at least 3 strictly increasing sample sizes" in err and err.count("\n") == 1
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40", "--alpha", "2",
+         "--reps", "4"],
+        ["rate-check", "--alpha", "2", "--beta", "2", "--n", "20,30,40", "--reps", "3"],
+    ], ids=["mc-table", "rate-check"])
+    def test_thread_count_below_one_is_a_usage_error(self, tmp_path, capsys, argv, threads):
+        out = tmp_path / "out.tsv"
+        assert run(argv + ["--threads", threads, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --threads: expected an integer >= 1, got '{threads}'" in captured.err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("alpha,beta", [("2", "nan"), ("2", "0.4"), ("2", "inf")])
     def test_rate_check_rejects_meaningless_exponent(self, tmp_path, capsys, alpha, beta):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import statistics
@@ -87,6 +88,18 @@ class TestIntegratedBiasVar:
             assert all(m >= 0 for _, m in profile)
 
 
+class TestMcResult:
+    @pytest.mark.parametrize("changes", [
+        {"bias2_pca": math.nan},
+        {"var_ridge": math.inf},
+        {"var_pca": -1e-12},
+        {"rho_profile": ((1e-2, 0.5), (1e-1, math.inf))},
+    ], ids=["nan_component", "inf_component", "negative_component", "inf_profile_entry"])
+    def test_negative_or_non_finite_errors_are_rejected(self, small_result, changes):
+        with pytest.raises(ParameterError, match=r"^Monte Carlo errors for n=60 alpha=2 sigma_eps=0.5 "):
+            dataclasses.replace(small_result, **changes)
+
+
 class TestMcRun:
     def test_minimizers_match_profiles(self, small_result):
         m_prof = dict(small_result.m_profile)
@@ -128,6 +141,8 @@ class TestMcRun:
                 mc_run(SMALL, 4, rho_grid=(1e-2, rho))
         with pytest.raises(ParameterError):  # empty is not "use the default"
             mc_run(SMALL, 4, m_grid=(1,), rho_grid=())
+        with pytest.raises(ParameterError):
+            mc_run(SMALL, 4, threads=0)
 
     def test_replication_moments_are_the_datasets_moments(self):
         config = SimConfig(n=30, sigma_eps=0.5, alpha=2.0, spacing="closely_spaced", seed=11)
@@ -384,8 +399,6 @@ class TestRateFit:
                     bias2_ridge=bias2,
                     var_pca=mise - bias2,
                     var_ridge=mise - bias2,
-                    mise_pca=mise,
-                    mise_ridge=mise,
                     m_profile=((1, mise),),
                     rho_profile=((0.1, mise),),
                 )

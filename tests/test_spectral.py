@@ -119,9 +119,8 @@ class TestPerturbationReport:
         report = perturbation_report(kernel, kernel, 10)
         assert report.hs_gap == 0.0
         assert report.max_eigen_gap <= 1e-12
-        for row in report.rows:
-            assert row.slack_eigenvalue >= -1e-10
-            assert row.slack_eigenfunction >= -1e-10
+        assert np.all(report.slack_eigenvalue >= -1e-10)
+        assert np.all(report.slack_eigenfunction >= -1e-10)
 
     def test_rank_one_shift_moves_one_eigenvalue(self):
         kernel = truth_bundle(WELL).kernel
@@ -140,14 +139,46 @@ class TestPerturbationReport:
             )
             data, truth = draw_dataset(cfg)
             report = perturbation_report(truth.kernel, cov_of(data), 10)
-            assert min(r.slack_eigenvalue for r in report.rows) >= -1e-8
-            assert min(r.slack_eigenfunction for r in report.rows) >= -1e-8
+            assert np.min(report.slack_eigenvalue) >= -1e-8
+            assert np.min(report.slack_eigenfunction) >= -1e-8
 
     def test_min_gap_nonincreasing(self):
         data, truth = draw_dataset(WELL)
         report = perturbation_report(truth.kernel, cov_of(data), 15)
-        gaps = [r.min_gap for r in report.rows]
-        assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+        gaps = report.min_gap
+        assert np.all(gaps[:-1] >= gaps[1:])
+
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    def test_columns_match_the_scalar_loop_bit_for_bit(self, spacing):
+        # Rank by rank as the report once computed them: a fresh (p,)
+        # difference per rank, one np.dot, math.sqrt.  A vectorized distance
+        # sums in another order and fails the == below.
+        cfg = SimConfig(n=200, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=3)
+        data, truth = draw_dataset(cfg)
+        cov = cov_of(data)
+        j_max = 30
+        report = perturbation_report(truth.kernel, cov, j_max)
+        ref_vals, ref_vecs = eigendecompose(truth.kernel)
+        per_vals, per_vecs = eigendecompose(cov)
+        per_vecs = align_signs(per_vecs, ref_vecs)
+        p = ref_vals.size
+        diff = truth.kernel - cov
+        gap = float(np.sqrt(np.sum(diff * diff))) / p
+        gaps = ref_vals[:-1] - ref_vals[1:]
+        min_gaps = np.minimum.accumulate(gaps)
+        assert report.hs_gap == gap
+        assert report.max_eigen_gap == float(np.max(np.abs(ref_vals - per_vals)))
+        for j in range(1, j_max + 1):
+            d = ref_vecs[:, j - 1] - per_vecs[:, j - 1]
+            dist = math.sqrt(float(np.dot(d, d)) / p)
+            min_gap = float(min_gaps[j - 1])
+            assert report.min_gap[j - 1] == min_gap
+            assert report.eigenfunction_distance[j - 1] == dist
+            assert report.slack_eigenvalue[j - 1] == gap - float(abs(ref_vals[j - 1] - per_vals[j - 1]))
+            assert report.slack_eigenfunction[j - 1] == math.sqrt(8.0) * gap - min_gap * dist
+        columns = (report.min_gap, report.eigenfunction_distance,
+                   report.slack_eigenvalue, report.slack_eigenfunction)
+        assert all(c.shape == (j_max,) and not c.flags.writeable for c in columns)
 
     def test_tied_reference_spectrum_rejected(self):
         grid = Grid(10)
