@@ -5,16 +5,18 @@ dataset CSV), predict (apply a model file to new curves), mc-table (Monte
 Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
-Exit codes: 0 success, 2 usage (--threads below 1 included), 3 data format,
-4 numeric/precondition (out of memory and non-finite Monte Carlo errors
-included), 5 I/O.  File outputs are written to temporary files and
-atomically renamed, so a failing run never leaves a partial output behind;
-a command with two outputs (mc-table --out --profile) writes both or neither.
+Exit codes: 0 success, 2 usage (--threads below 1 and --m-max outside 1..50
+included), 3 data format, 4 numeric/precondition (out of memory and
+non-finite Monte Carlo errors included), 5 I/O.  File outputs are written to
+temporary files and atomically renamed, so a failing run never leaves a
+partial output behind; a command with two outputs (mc-table --out --profile)
+writes both or neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -75,13 +77,17 @@ def _spacing(text: str) -> str:
         ) from None
 
 
-def _thread_count(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _bounded_int(lo: int, hi: float = math.inf):
+    """argparse type: an integer in lo..hi."""
+    def parse(text: str) -> int:
+        try:
+            if lo <= int(text) <= hi:
+                return int(text)
+        except ValueError:
+            pass
+        bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+    return parse
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -236,7 +242,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         spacing=args.spacing, seed=args.seed,
     )
     truth = truth_bundle(config)
-    data, _ = draw_dataset(config, truth)
+    data, _ = draw_dataset(config)
     _, _, cov, _ = compute_moments(data)
     report = perturbation_report(truth.kernel, cov, args.j_max)
     _emit(report_to_tsv(report), args.out)
@@ -282,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     mct.add_argument("--alpha", type=_float_list, required=True, help="comma list")
     mct.add_argument("--reps", type=int, default=200)
     mct.add_argument("--seed", type=int, default=0)
-    mct.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
-    mct.add_argument("--m-max", type=int, default=max(DEFAULT_M_GRID))
+    mct.add_argument("--threads", type=_bounded_int(1), default=os.cpu_count() or 1)
+    # No cutoff can exceed the grid size of an mc-table scenario.
+    mct.add_argument("--m-max", type=_bounded_int(1, SimConfig.p), default=max(DEFAULT_M_GRID))
     mct.add_argument("--rho-count", type=int, default=25)
     mct.add_argument("--rho-min", type=float, default=1e-6)
     mct.add_argument("--rho-max", type=float, default=1.0)
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--sigma", type=float, default=0.5)
     rate.add_argument("--reps", type=int, default=200)
     rate.add_argument("--seed", type=int, default=0)
-    rate.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    rate.add_argument("--threads", type=_bounded_int(1), default=os.cpu_count() or 1)
     rate.add_argument("--out")
     rate.set_defaults(func=_cmd_rate_check)
 

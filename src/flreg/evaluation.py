@@ -1,8 +1,8 @@
 """Monte Carlo benchmark harness for the two slope estimators.
 
 For a simulation scenario, ``mc_run`` builds the truth once and draws R
-replicated datasets (one child seed per replication, replication r being
-exactly ``draw_dataset(config.child(r))``).  It cuts the replications into
+replicated datasets (replication r being exactly the dataset of ``config``
+with seed ``replication_seed(config.seed, r)``).  It cuts the replications into
 contiguous chunks of at most ``CHUNK``.  Per chunk it stacks the BLAS
 moments of each replication into a (B, p, p) covariance and a (B, p)
 cross-covariance array, decomposes the whole stack with one
@@ -35,6 +35,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import operator
 import threading
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ParameterError, RankError
 from .estimators import cutoff_path, moment_arrays, ridge_path
-from .simulation import SimConfig, TruthBundle, draw_xy, truth_bundle
+from .simulation import SimConfig, TruthBundle, draw_xy, replication_seed, truth_bundle
 from .spectral import eigh_stack
 
 # Not called here; perfbench/spans.py patches these names in this module.
@@ -114,7 +115,7 @@ class McResult:
 
 
 def integrated_bias_var(
-    estimates: np.ndarray, target: np.ndarray, p: int
+    estimates: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo integrated squared bias and integrated variance.
 
@@ -125,7 +126,7 @@ def integrated_bias_var(
     as an (R, p) array on its own: its mean over R in replication order, its
     squared deviations summed over the flattened R * p values.
     """
-    c, r = estimates.shape[:2]
+    c, r, p = estimates.shape
     mean_est = np.mean(estimates, axis=1)
     bias2 = np.sum((mean_est - target) ** 2, axis=1) / p
     sq_dev = (estimates - mean_est[:, None, :]) ** 2
@@ -137,12 +138,13 @@ def _replication_moments(
     config: SimConfig, truth: TruthBundle, reps: range
 ) -> tuple[np.ndarray, np.ndarray]:
     """(B, p, p) covariances and (B, p) cross-covariances of replications
-    ``reps``; entry b is the moments of ``draw_dataset(config.child(r))``
-    for r = reps[b], bit for bit."""
+    ``reps``; entry b is the moments of the dataset of ``config`` with seed
+    ``replication_seed(config.seed, r)`` for r = reps[b], bit for bit."""
     covs = np.empty((len(reps), config.p, config.p))
     cross = np.empty((len(reps), config.p))
     for b, r in enumerate(reps):
-        _, _, covs[b], cross[b] = moment_arrays(*draw_xy(config.child(r), truth))
+        X, y = draw_xy(config.n, config.sigma_eps, replication_seed(config.seed, r), truth)
+        _, _, covs[b], cross[b] = moment_arrays(X, y)
     if not np.all(np.isfinite(cross)):
         raise ParameterError("replication cross-covariances contain non-finite entries")
     return covs, cross
@@ -261,8 +263,8 @@ def mc_run(
     valid_m = [m for m in m_grid if m <= rank]
     if not valid_m:
         raise RankError("every cutoff candidate exceeded the usable rank")
-    pca_bias2, pca_var = integrated_bias_var(cuts[[m - 1 for m in valid_m]], target, p)
-    ridge_bias2, ridge_var = integrated_bias_var(ridges, target, p)
+    pca_bias2, pca_var = integrated_bias_var(cuts[[m - 1 for m in valid_m]], target)
+    ridge_bias2, ridge_var = integrated_bias_var(ridges, target)
     pca_mise, ridge_mise = pca_bias2 + pca_var, ridge_bias2 + ridge_var
     # argmin takes the first minimum: ties keep the smaller m and, over the
     # reversed rho grid, the larger rho.
@@ -346,71 +348,46 @@ def rate_fit(
     )
 
 
-TABLE_COLUMNS = (
-    "sigma_eps",
-    "n",
-    "alpha",
-    "m",
-    "rho",
-    "bias2_pca",
-    "bias2_ridge",
-    "var_pca",
-    "var_ridge",
-    "mise_pca",
-    "mise_ridge",
+# One row per table column: its name, the McResult attribute it shows, and
+# its cell format in the "tsv" and the "text" table.
+_TABLE_SPEC = (
+    ("sigma_eps", "config.sigma_eps", ".17g", "g"),
+    ("n", "config.n", "", ""),
+    ("alpha", "config.alpha", ".17g", "g"),
+    ("m", "m_star", "", ""),
+    ("rho", "rho_star", ".17g", ".4g"),
+    ("bias2_pca", "bias2_pca", ".17g", ".3f"),
+    ("bias2_ridge", "bias2_ridge", ".17g", ".3f"),
+    ("var_pca", "var_pca", ".17g", ".3f"),
+    ("var_ridge", "var_ridge", ".17g", ".3f"),
+    ("mise_pca", "mise_pca", ".17g", ".3f"),
+    ("mise_ridge", "mise_ridge", ".17g", ".3f"),
 )
-
-
-def _table_cells(result: McResult) -> tuple:
-    return (
-        result.config.sigma_eps,
-        result.config.n,
-        result.config.alpha,
-        result.m_star,
-        result.rho_star,
-        result.bias2_pca,
-        result.bias2_ridge,
-        result.var_pca,
-        result.var_ridge,
-        result.mise_pca,
-        result.mise_ridge,
-    )
+TABLE_COLUMNS = tuple(name for name, *_ in _TABLE_SPEC)
+_TABLE_FORMATS = ("tsv", "text")
 
 
 def emit_table(results: list[McResult], fmt: str = "tsv") -> str:
-    """Render results as a table with the canonical 11 columns.
+    """Render results as a table, one column per ``TABLE_COLUMNS`` name.
 
     ``fmt="tsv"`` emits machine-readable cells (17 significant digits,
     lossless round trip); ``fmt="text"`` emits an aligned human table with
     3-decimal error cells.
     """
-    spacings = {r.config.spacing for r in results}
-    if len(spacings) > 1:
+    if len({r.config.spacing for r in results}) > 1:
         raise ParameterError("cannot mix spacing modes in one table")
+    if fmt not in _TABLE_FORMATS:
+        raise ParameterError(f"unknown table format {fmt!r}")
+    column = _TABLE_FORMATS.index(fmt)
+    rows = [TABLE_COLUMNS] + [
+        [format(operator.attrgetter(attr)(result), formats[column])
+         for _, attr, *formats in _TABLE_SPEC]
+        for result in results
+    ]
     if fmt == "tsv":
-        lines = ["\t".join(TABLE_COLUMNS)]
-        for result in results:
-            cells = _table_cells(result)
-            rendered = [
-                f"{cells[0]:.17g}",
-                str(cells[1]),
-                f"{cells[2]:.17g}",
-                str(cells[3]),
-            ] + [f"{c:.17g}" for c in cells[4:]]
-            lines.append("\t".join(rendered))
-        return "\n".join(lines) + "\n"
-    if fmt == "text":
-        rows = [list(TABLE_COLUMNS)]
-        for result in results:
-            cells = _table_cells(result)
-            rows.append(
-                [f"{cells[0]:g}", str(cells[1]), f"{cells[2]:g}", str(cells[3]),
-                 f"{cells[4]:.4g}"] + [f"{c:.3f}" for c in cells[5:]]
-            )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(TABLE_COLUMNS))]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ParameterError(f"unknown table format {fmt!r}")
+        return "".join("\t".join(row) + "\n" for row in rows)
+    widths = [max(map(len, cells)) for cells in zip(*rows)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in rows)
 
 
 def emit_profile(results: list[McResult]) -> str:

@@ -13,11 +13,12 @@ with strictly separated values, and a "closely_spaced" design that produces
 blocks of five nearly tied eigenvalues.
 
 Reproducibility contract: a dataset is fully determined by its SimConfig.
-Randomness comes from numpy's PCG64 generator seeded through a
-SeedSequence; replication r of a Monte Carlo run uses the child config
-``config.child(r)``, whose seed is derived from (seed, r) independently of
-execution order.  Within one dataset the draw order is fixed: the n-by-J
-score matrix is filled observation-major, then the n noise values follow.
+Randomness comes from numpy's PCG64 generator seeded with the config's seed;
+replication r of a Monte Carlo run is the dataset of the same config with
+seed ``replication_seed(seed, r)``, derived from (seed, r) through a
+SeedSequence spawn key independently of execution order.  Within one
+dataset the draw order is fixed: the n-by-J score matrix is filled
+observation-major, then the n noise values follow.
 The uniform scores are the generator's ``random()`` fill of [0, 1)
 doubles mapped in place to 2 sqrt(3) u - sqrt(3), which is bit for bit what
 ``uniform(-sqrt(3), sqrt(3))`` returns: that computes lo + (hi - lo) u, and
@@ -31,7 +32,6 @@ on n, noise or seed, and is built once per design and shared read-only.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import re
@@ -51,6 +51,7 @@ __all__ = [
     "true_slope",
     "gamma_sequence",
     "truth_bundle",
+    "replication_seed",
     "draw_xy",
     "draw_dataset",
     "dataset_to_csv",
@@ -96,17 +97,16 @@ class SimConfig:
     def grid(self) -> Grid:
         return Grid(self.p)
 
-    def child(self, replication: int) -> "SimConfig":
-        """Config for one Monte Carlo replication.
 
-        The child seed is derived from (seed, replication) through a
-        SeedSequence spawn key, so replications are mutually independent and
-        do not depend on the order in which they are generated.
-        """
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(replication,))
-        return dataclasses.replace(
-            self, seed=int(seq.generate_state(1, dtype=np.uint64)[0])
-        )
+def replication_seed(seed: int, replication: int) -> int:
+    """Seed of replication r of a Monte Carlo run with seed ``seed``.
+
+    It is derived from (seed, r) through a SeedSequence spawn key, so
+    replications are mutually independent and do not depend on the order in
+    which they are generated.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 def basis_matrix(grid: Grid, count: int) -> np.ndarray:
@@ -211,11 +211,13 @@ def _truth_bundle(spacing: str, alpha: float, n_terms: int, p: int) -> TruthBund
     return bundle
 
 
-def draw_xy(config: SimConfig, truth: TruthBundle) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, p) covariate matrix and n responses of the scenario's
-    dataset, fully determined by config.seed.  ``truth`` is ``truth_bundle``
-    of a config equal but for the seed.  Both arrays are fresh and
-    read-only.
+def draw_xy(
+    n: int, sigma_eps: float, seed: int, truth: TruthBundle
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, p) covariate matrix and n responses of one dataset of the
+    scenario whose truth is ``truth``, fully determined by ``seed``.  The
+    number of terms is ``truth.gamma.size`` and p is ``truth.slope.size``.
+    Both arrays are fresh and read-only.
 
     The scores are a ``random()`` fill mapped in place to
     [-sqrt(3), sqrt(3)), bit for bit the generator's ``uniform`` (see the
@@ -224,31 +226,29 @@ def draw_xy(config: SimConfig, truth: TruthBundle) -> tuple[np.ndarray, np.ndarr
     threads divide their outputs, not their sums, so the bits do not depend
     on the BLAS thread count.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    scores = rng.random((config.n, config.n_terms))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scores = rng.random((n, truth.gamma.size))
     scores *= 2.0 * SQRT3
     scores -= SQRT3
     scores *= truth.gamma
-    noise = config.sigma_eps * rng.standard_normal(config.n)
+    noise = sigma_eps * rng.standard_normal(n)
     X = scores @ truth.basis
-    y = X @ truth.slope / config.p + noise
+    y = X @ truth.slope / truth.slope.size + noise
     X.setflags(write=False)
     y.setflags(write=False)
     return X, y
 
 
-def draw_dataset(
-    config: SimConfig, truth: TruthBundle | None = None
-) -> tuple[Dataset, TruthBundle]:
-    """Draw one dataset from the scenario: ``draw_xy`` as a ``Dataset``.
-    ``truth``, if given, is ``truth_bundle`` of a config equal but for the seed."""
-    if truth is None:
-        truth = truth_bundle(config)
-    X, y = draw_xy(config, truth)
+def draw_dataset(config: SimConfig) -> tuple[Dataset, TruthBundle]:
+    """Draw the scenario's dataset: ``draw_xy`` as a ``Dataset``, with the
+    scenario's truth."""
+    truth = truth_bundle(config)
+    X, y = draw_xy(config.n, config.sigma_eps, config.seed, truth)
     return Dataset(grid=config.grid, X=X, Y=y), truth
 
 
-_METADATA_RE = re.compile(r"^# grid=midpoint p=(\d+)$")
+# p in ASCII digits; the group drops leading zeros.
+_METADATA_RE = re.compile(r"^# grid=midpoint p=0*([0-9]+)$")
 
 
 def dataset_to_csv(data: Dataset) -> str:
@@ -286,22 +286,22 @@ def dataset_from_csv(
         raise DataFormatError(
             "dataset CSV must start with a '# grid=midpoint p=<p>' metadata line"
         )
-    p = int(match.group(1))
-    if p < 2:
-        raise DataFormatError(f"dataset CSV: need a grid of p >= 2 points, got p={p}")
-    grid = Grid(p)
+    # p stays text until the header's cell count confirms it, so a declared
+    # p of any length costs no more than the header line itself.
+    declared = match.group(1)
+    if declared in ("0", "1"):
+        raise DataFormatError(f"dataset CSV: need a grid of p >= 2 points, got p={declared}")
     if len(lines) < 2:
         raise DataFormatError("dataset CSV is missing its header line")
-    x_names = [f"x_{i}" for i in range(1, p + 1)]
     header = lines[1].split(",")
-    if header == x_names + ["y"]:
-        has_y = True
-    elif header == x_names and not require_y:
-        has_y = False
-    else:
+    has_y = header[-1] == "y"
+    p = len(header) - has_y
+    if (str(p) != declared or (require_y and not has_y)
+            or header[:p] != [f"x_{i}" for i in range(1, p + 1)]):
         raise DataFormatError(
-            f"dataset CSV header does not match the declared grid size p={p}"
+            f"dataset CSV header does not match the declared grid size p={declared}"
         )
+    grid = Grid(p)
     table = _parse_rows(lines[2:], linenos[2:], p + 1 if has_y else p, "dataset CSV")
     if has_y:
         X = np.ascontiguousarray(table[:, :p])

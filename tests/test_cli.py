@@ -167,6 +167,16 @@ class TestErrorPaths:
         assert run(["fit", "--data", str(bad), "--method", "ridge",
                     "--rho", "0.1", "--out", str(out)]) == 3
 
+    def test_huge_declared_p_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# grid=midpoint p=" + "9" * 5000 + "\nx_1,x_2,y\n1,2,3\n")
+        out = tmp_path / "model.txt"
+        assert run(["fit", "--data", str(bad), "--method", "ridge",
+                    "--rho", "0.1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("flreg: data format error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_only_newlines_end_lines(self, tmp_path, capsys):
         # A form feed (or NEL, or U+2028) inside a line does not split it.
         data, model, out = tmp_path / "data.csv", tmp_path / "model.txt", tmp_path / "out"
@@ -324,7 +334,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
-        def no_memory(config, truth):
+        def no_memory(n, sigma_eps, seed, truth):
             raise MemoryError()
 
         monkeypatch.setattr(flreg.simulation, "draw_xy", no_memory)
@@ -403,6 +413,11 @@ class TestMcTableThreads:
         assert outputs[0] == outputs[1]
 
 
+MC_TABLE_ARGV = ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40", "--alpha", "2",
+                 "--reps", "4"]
+RATE_CHECK_ARGV = ["rate-check", "--alpha", "2", "--beta", "2", "--n", "20,30,40", "--reps", "3"]
+
+
 class TestBatchCommands:
     def test_mc_table_smoke_and_determinism(self, tmp_path):
         argv = ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40",
@@ -469,18 +484,24 @@ class TestBatchCommands:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize("argv", [
-        ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40", "--alpha", "2",
-         "--reps", "4"],
-        ["rate-check", "--alpha", "2", "--beta", "2", "--n", "20,30,40", "--reps", "3"],
-    ], ids=["mc-table", "rate-check"])
-    def test_thread_count_below_one_is_a_usage_error(self, tmp_path, capsys, argv, threads):
+    @pytest.mark.parametrize("argv,flag,value,bounds", [
+        (MC_TABLE_ARGV, "--threads", "0", ">= 1"),
+        (MC_TABLE_ARGV, "--threads", "-3", ">= 1"),
+        (RATE_CHECK_ARGV, "--threads", "0", ">= 1"),
+        (RATE_CHECK_ARGV, "--threads", "-3", ">= 1"),
+        (MC_TABLE_ARGV, "--m-max", "0", "in 1..50"),
+        (MC_TABLE_ARGV, "--m-max", "51", "in 1..50"),
+    ], ids=["mc-table-0", "mc-table--3", "rate-check-0", "rate-check--3",
+            "mc-table-m-max-0", "mc-table-m-max-51"])
+    def test_thread_count_below_one_is_a_usage_error(
+        self, tmp_path, capsys, argv, flag, value, bounds
+    ):
+        # Also --m-max outside 1..50: no cutoff can exceed the grid size.
         out = tmp_path / "out.tsv"
-        assert run(argv + ["--threads", threads, "--out", str(out)]) == 2
+        assert run(argv + [flag, value, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --threads: expected an integer >= 1, got '{threads}'" in captured.err
+        assert f"argument {flag}: expected an integer {bounds}, got '{value}'" in captured.err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("alpha,beta", [("2", "nan"), ("2", "0.4"), ("2", "inf")])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -34,7 +35,7 @@ from flreg.estimators import (
     ridge_path,
 )
 from flreg.evaluation import DEFAULT_M_GRID, default_rho_grid
-from flreg.simulation import basis_matrix, dataset_from_csv, dataset_to_csv
+from flreg.simulation import basis_matrix, dataset_from_csv, dataset_to_csv, replication_seed
 from flreg.spectral import eigh_stack
 
 GRID = Grid(50)
@@ -290,7 +291,9 @@ class TestPathKernels:
         # The batch a dataset is solved in must not move a bit of its
         # eigenpairs or of its cutoff and ridge paths.
         config = SimConfig(n=60, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=9)
-        moments = [compute_moments(draw_dataset(config.child(r))[0]) for r in range(5)]
+        seeds = [replication_seed(config.seed, r) for r in range(5)]
+        moments = [compute_moments(draw_dataset(dataclasses.replace(config, seed=s))[0])
+                   for s in seeds]
         covs = np.stack([mo[2] for mo in moments])
         cross = np.stack([mo[3] for mo in moments])
         vals, vecs = eigh_stack(covs)
@@ -308,7 +311,9 @@ class TestPathKernels:
         # A fit is its dataset's row of the path kernels on a stack of many
         # datasets, the shape the Monte Carlo harness solves per chunk.
         config = SimConfig(n=40, sigma_eps=0.5, alpha=2.0, spacing=spacing, seed=23)
-        moments = [compute_moments(draw_dataset(config.child(r))[0]) for r in range(6)]
+        seeds = [replication_seed(config.seed, r) for r in range(6)]
+        moments = [compute_moments(draw_dataset(dataclasses.replace(config, seed=s))[0])
+                   for s in seeds]
         vals, vecs = eigh_stack(np.stack([mo[2] for mo in moments]))
         cross = np.stack([mo[3] for mo in moments])
         rhos = default_rho_grid()

@@ -34,7 +34,7 @@ from flreg.evaluation import (
     integrated_bias_var,
     theoretical_rate_slope,
 )
-from flreg.simulation import truth_bundle
+from flreg.simulation import replication_seed, truth_bundle
 from flreg.spectral import eigh_stack
 
 SMALL = SimConfig(n=60, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=17)
@@ -65,7 +65,7 @@ class TestIntegratedBiasVar:
         rng = np.random.default_rng(0)
         est = rng.standard_normal(50)
         stack = np.stack([est, est])
-        [bias2], [var] = integrated_bias_var(stack[None], np.zeros(50), 50)
+        [bias2], [var] = integrated_bias_var(stack[None], np.zeros(50))
         assert var == 0.0
         assert bias2 == pytest.approx(float(np.mean(est**2)))
 
@@ -73,7 +73,7 @@ class TestIntegratedBiasVar:
         # Reference: one (R, p) candidate at a time, reduced whole.
         rng = np.random.default_rng(4)
         stack, target = rng.standard_normal((7, 150, 50)), rng.standard_normal(50)
-        bias2, var = integrated_bias_var(stack, target, 50)
+        bias2, var = integrated_bias_var(stack, target)
         for c, estimates in enumerate(stack):
             mean = np.mean(estimates, axis=0)
             assert bias2[c] == float(np.sum((mean - target) ** 2)) / 50
@@ -149,7 +149,8 @@ class TestMcRun:
         reps = range(61, 67)
         covs, cross = _replication_moments(config, truth_bundle(config), reps)
         for b, r in enumerate(reps):
-            _, _, cov, cross_cov = compute_moments(draw_dataset(config.child(r))[0])
+            replication = dataclasses.replace(config, seed=replication_seed(config.seed, r))
+            _, _, cov, cross_cov = compute_moments(draw_dataset(replication)[0])
             np.testing.assert_array_equal(covs[b], cov)
             np.testing.assert_array_equal(cross[b], cross_cov)
 
@@ -300,7 +301,8 @@ class TestMcRun:
         ridge = {rho: [] for rho in rhos}
         excluded = set()
         for r in range(reps):
-            moments = compute_moments(draw_dataset(config.child(r))[0])
+            replication = dataclasses.replace(config, seed=replication_seed(config.seed, r))
+            moments = compute_moments(draw_dataset(replication)[0])
             for m in DEFAULT_M_GRID:
                 try:
                     pca[m].append(pca_fit(moments, m).slope)
@@ -311,7 +313,7 @@ class TestMcRun:
         target = draw_dataset(config)[1].slope
 
         def mise(slopes):
-            [bias2], [var] = integrated_bias_var(np.stack(slopes)[None], target, config.p)
+            [bias2], [var] = integrated_bias_var(np.stack(slopes)[None], target)
             return bias2 + var
 
         m_profile = {m: mise(v) for m, v in pca.items() if m not in excluded}
@@ -355,7 +357,7 @@ class TestOracleTune:
             ((1.0, 1.0, 1.0, 1.0), 2, 1.0),  # all tied
             ((3.0, 1.0, 1.0, 2.0), 3, 0.1),  # tied at two inner candidates
         ):
-            def tied(estimates, target, p, pattern=pattern):
+            def tied(estimates, target, pattern=pattern):
                 mise = np.array(pattern[: len(estimates)])
                 return mise / 2, mise / 2
 
@@ -456,6 +458,31 @@ class TestTableSerialization:
         )
         with pytest.raises(ParameterError):
             emit_table([small_result, other])
+        # Mixed spacing is rejected before an unknown format.
+        with pytest.raises(ParameterError, match="mix spacing"):
+            emit_table([small_result, other], fmt="csv")
+        with pytest.raises(ParameterError, match="unknown table format 'csv'"):
+            emit_table([small_result], fmt="csv")
+
+    def test_bytes_of_both_formats_are_pinned(self):
+        cfg = SimConfig(n=100, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=7)
+        result = McResult(
+            config=cfg, replications=10, m_star=4, rho_star=0.1,
+            bias2_pca=1 / 3, bias2_ridge=0.25, var_pca=1 / 3, var_ridge=0.5,
+            m_profile=((4, 2 / 3),), rho_profile=((0.1, 0.75),),
+        )
+        assert emit_table([result]) == (
+            "sigma_eps\tn\talpha\tm\trho\tbias2_pca\tbias2_ridge\tvar_pca\tvar_ridge"
+            "\tmise_pca\tmise_ridge\n"
+            "0.5\t100\t2\t4\t0.10000000000000001\t0.33333333333333331\t0.25"
+            "\t0.33333333333333331\t0.5\t0.66666666666666663\t0.75\n"
+        )
+        assert emit_table([result], fmt="text") == (
+            "sigma_eps    n  alpha  m  rho  bias2_pca  bias2_ridge  var_pca  var_ridge"
+            "  mise_pca  mise_ridge\n"
+            "      0.5  100      2  4  0.1      0.333        0.250    0.333      0.500"
+            "     0.667       0.750\n"
+        )
 
     def test_text_format_is_aligned(self, small_result):
         text = emit_table([small_result], fmt="text")

@@ -39,7 +39,7 @@ def inner_product(f, g):
 
 def l2_distance_sq(f, g):
     """||f - g||^2 as ``integrated_bias_var`` computes a squared bias."""
-    [bias2], [var] = integrated_bias_var(np.asarray(f, dtype=float)[None, None], g, len(g))
+    [bias2], [var] = integrated_bias_var(np.asarray(f, dtype=float)[None, None], g)
     assert var == 0.0
     return float(bias2)
 

@@ -22,7 +22,9 @@ from flreg import (
     truth_bundle,
 )
 from flreg import estimators, simulation
-from flreg.simulation import dataset_from_csv, dataset_to_csv, slope_coefficients
+from flreg.simulation import (
+    dataset_from_csv, dataset_to_csv, replication_seed, slope_coefficients,
+)
 
 GRID = Grid(50)
 
@@ -160,7 +162,7 @@ class TestDrawDataset:
     def test_draw_is_the_uniform_reference_bit_for_bit(self, design):
         for seed in (0, 1, 20070810, 2**63 + 5):
             cfg = SimConfig(sigma_eps=0.5, alpha=1.5, seed=seed, **design)
-            X, y = simulation.draw_xy(cfg, truth_bundle(cfg))
+            X, y = simulation.draw_xy(cfg.n, cfg.sigma_eps, cfg.seed, truth_bundle(cfg))
             ref_X, ref_y = reference_draw(cfg)
             assert X.shape == (cfg.n, cfg.p)
             assert X.tobytes() == ref_X.tobytes() and y.tobytes() == ref_y.tobytes()
@@ -175,10 +177,10 @@ class TestDrawDataset:
 
     def test_child_configs_differ(self):
         cfg = SimConfig(n=20, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=42)
-        seeds = {cfg.child(r).seed for r in range(100)}
+        seeds = {replication_seed(cfg.seed, r) for r in range(100)}
         assert len(seeds) == 100
-        a, _ = draw_dataset(cfg.child(0))
-        b, _ = draw_dataset(cfg.child(1))
+        a, _ = draw_dataset(dataclasses.replace(cfg, seed=replication_seed(cfg.seed, 0)))
+        b, _ = draw_dataset(dataclasses.replace(cfg, seed=replication_seed(cfg.seed, 1)))
         assert not np.array_equal(a.Y, b.Y)
 
     def test_noiseless_response_matches_score_expansion(self):
@@ -301,6 +303,26 @@ class TestDatasetCsv:
         for text in ("# grid=midpoint p=1\nx_1,y\n1,2\n", "# grid=midpoint p=0\ny\n1\n"):
             with pytest.raises(DataFormatError, match="p >= 2"):
                 dataset_from_csv(text)
+        # A p beyond int()'s digit limit, a p far beyond its header, and a
+        # non-ASCII digit, which cells and model headers reject too.
+        for text, message in (
+            ("# grid=midpoint p=" + "9" * 5000 + "\nx_1,x_2,y\n1,2,3\n", "does not match"),
+            ("# grid=midpoint p=20000000\nx_1,y\n1,2\n", "does not match"),
+            ("# grid=midpoint p=\u0662\nx_1,x_2,y\n1,2,3\n", "metadata line"),
+        ):
+            with pytest.raises(DataFormatError, match=message):
+                dataset_from_csv(text)
+
+    def test_declared_p_costs_no_more_than_the_header(self):
+        # The header's cell count is checked before any list of p names.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="p=1000000$"):
+                dataset_from_csv("# grid=midpoint p=1000000\nx_1,x_2,y\n1,2,3\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_errors_name_the_physical_line(self, newline):
