@@ -5,12 +5,12 @@ dataset CSV), predict (apply a model file to new curves), mc-table (Monte
 Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
-Exit codes: 0 success, 2 usage (--threads below 1 and --m-max outside 1..50
-included), 3 data format, 4 numeric/precondition (out of memory and
-non-finite Monte Carlo errors included), 5 I/O.  File outputs are written to
-temporary files and atomically renamed, so a failing run never leaves a
-partial output behind; a command with two outputs (mc-table --out --profile)
-writes both or neither.
+Exit codes: 0 success, 2 usage (--threads below 1, --m-max outside 1..50 and
+--rho-count outside 1..1000 included), 3 data format, 4 numeric/precondition
+(out of memory and non-finite Monte Carlo errors included), 5 I/O.  File
+outputs are written to temporary files and atomically renamed, so a failing
+run never leaves a partial output behind; a command with two outputs
+(mc-table --out --profile) writes both or neither.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     mct.add_argument("--threads", type=_bounded_int(1), default=os.cpu_count() or 1)
     # No cutoff can exceed the grid size of an mc-table scenario.
     mct.add_argument("--m-max", type=_bounded_int(1, SimConfig.p), default=max(DEFAULT_M_GRID))
-    mct.add_argument("--rho-count", type=int, default=25)
+    mct.add_argument("--rho-count", type=_bounded_int(1, 1000), default=25)
     mct.add_argument("--rho-min", type=float, default=1e-6)
     mct.add_argument("--rho-max", type=float, default=1.0)
     mct.add_argument("--format", choices=("tsv", "text"), default="tsv")

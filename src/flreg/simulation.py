@@ -28,6 +28,7 @@ curves are one BLAS matrix product of the scaled scores with the basis
 (``draw_xy``); the Monte Carlo harness and ``draw_dataset`` share that draw.
 The truth of a scenario (``truth_bundle``) depends only on its design, not
 on n, noise or seed, and is built once per design and shared read-only.
+Its (p, p) kernel is built on first read; of the CLI, only ``diagnose`` does.
 """
 
 from __future__ import annotations
@@ -169,19 +170,27 @@ def gamma_sequence(spacing: str, alpha: float, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TruthBundle:
     """Everything the data-generating process knows: true slope, score
-    scales, basis, covariance kernel and its sorted eigenvalues.  Every
-    array is read-only, since one bundle is shared by all callers."""
+    scales, basis, sorted eigenvalues and the covariance kernel, built on
+    first read.  Every array is read-only, as all callers share one bundle."""
 
     slope: np.ndarray  # (p,)
     gamma: np.ndarray  # (J,) in basis order
     basis: np.ndarray  # (J, p) basis functions on the grid
-    kernel: np.ndarray  # (p, p), exactly symmetric
     eigenvalues: np.ndarray  # gamma**2 sorted nonincreasing
     eigen_order: np.ndarray  # 0-based basis index of each sorted eigenvalue
 
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """(p, p), exactly symmetric (two-operand sum), built on first read.
+        On Python 3.12+ two first readers may both build it, to the same bits."""
+        scaled = np.abs(self.gamma)[:, None] * self.basis
+        kernel = np.einsum("ju,jv->uv", scaled, scaled)
+        kernel.setflags(write=False)
+        return kernel
+
 
 def truth_bundle(config: SimConfig) -> TruthBundle:
-    """Deterministic part of a scenario: slope, scales and true covariance.
+    """Slope, scales and true covariance of a scenario, the last on first read.
 
     The bundle depends only on (spacing, alpha, n_terms, p), so configs that
     differ in n, sigma_eps or seed get the same cached, read-only bundle."""
@@ -193,16 +202,12 @@ def _truth_bundle(spacing: str, alpha: float, n_terms: int, p: int) -> TruthBund
     grid = Grid(p)
     gamma = gamma_sequence(spacing, alpha, n_terms)
     B = basis_matrix(grid, n_terms)
-    # Two-operand accumulation keeps the kernel exactly symmetric.
-    scaled = np.abs(gamma)[:, None] * B
-    kernel = np.einsum("ju,jv->uv", scaled, scaled)
     kappa = gamma**2
     order = np.argsort(-kappa, kind="stable")
     bundle = TruthBundle(
         slope=true_slope(grid, n_terms),
         gamma=gamma,
         basis=B,
-        kernel=kernel,
         eigenvalues=kappa[order],
         eigen_order=order,
     )

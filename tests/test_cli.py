@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import os
 import re
@@ -491,12 +492,16 @@ class TestBatchCommands:
         (RATE_CHECK_ARGV, "--threads", "-3", ">= 1"),
         (MC_TABLE_ARGV, "--m-max", "0", "in 1..50"),
         (MC_TABLE_ARGV, "--m-max", "51", "in 1..50"),
+        (MC_TABLE_ARGV, "--rho-count", "0", "in 1..1000"),
+        (MC_TABLE_ARGV, "--rho-count", "1001", "in 1..1000"),
     ], ids=["mc-table-0", "mc-table--3", "rate-check-0", "rate-check--3",
-            "mc-table-m-max-0", "mc-table-m-max-51"])
+            "mc-table-m-max-0", "mc-table-m-max-51",
+            "mc-table-rho-count-0", "mc-table-rho-count-1001"])
     def test_thread_count_below_one_is_a_usage_error(
         self, tmp_path, capsys, argv, flag, value, bounds
     ):
-        # Also --m-max outside 1..50: no cutoff can exceed the grid size.
+        # Also --m-max outside 1..50 (no cutoff can exceed the grid size) and
+        # --rho-count outside 1..1000 (the ridge stack grows with it).
         out = tmp_path / "out.tsv"
         assert run(argv + [flag, value, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -550,6 +555,17 @@ class TestScripts:
                     "--reps", "3", "--seed", "7", "--threads", "1", "--out", str(out)]) == 0
         assert self.script("rate_study.py", "--n", "30,60,120", "--reps", "3",
                            "--threads", "1") == read(out)
+
+    def test_byte_corpus_runs_agree(self):
+        spec = importlib.util.spec_from_file_location(
+            "byte_corpus", os.path.join(self.SCRIPTS, "byte_corpus.py"))
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        argvs = [corpus.CORPUS[0], next(a for a in corpus.CORPUS if a[0] == "diagnose")]
+        first = corpus.corpus(run, argvs)
+        assert corpus.corpus(run, argvs) == first
+        assert [line.split()[0] for line in first] == ["0", "0"]
+        assert first[0].split()[1] != first[1].split()[1]
 
 
 FUZZ_DATA = (

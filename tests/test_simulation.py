@@ -142,6 +142,27 @@ class TestTruthBundle:
         assert other is not truth
         assert not np.array_equal(other.gamma, truth.gamma)
 
+    @pytest.mark.parametrize("spacing", ["well_spaced", "closely_spaced"])
+    def test_kernel_is_built_once_from_the_bundle(self, spacing):
+        truth = truth_bundle(SimConfig(n=10, sigma_eps=0.0, alpha=2.0, spacing=spacing))
+        scaled = np.abs(truth.gamma)[:, None] * truth.basis
+        assert truth.kernel is truth.kernel
+        assert truth.kernel.tobytes() == np.einsum("ju,jv->uv", scaled, scaled).tobytes()
+
+    def test_drawing_data_does_not_build_the_kernel(self):
+        # A design no other test builds, so its bundle is made under the
+        # trace; its (p, p) kernel alone would take 72 MB.
+        config = SimConfig(n=2, sigma_eps=0.5, alpha=2.0625, spacing="well_spaced",
+                           n_terms=1, p=3000)
+        tracemalloc.start()
+        try:
+            _, truth = draw_dataset(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert "kernel" not in vars(truth)
+
 
 def reference_draw(config):
     """The draw as ``Generator.uniform`` scores: the bits ``draw_xy`` keeps."""
