@@ -69,6 +69,10 @@ CORPUS = [
     MC_SMALL + ["--threads", "abc"],
     MC_SMALL + ["--rho-count", "0", "--out", "rho.tsv"],
     MC_SMALL + ["--rho-count", "1001", "--out", "rho.tsv"],
+    MC_SMALL + ["--reps", "1", "--out", "reps.tsv"],
+    _diagnose("well", "50", "2", "0"),
+    # A rank-one truth: every eigenvalue after the first is rounding noise.
+    ["diagnose", "--n", "40", "--alpha", "1e300", "--spacing", "well", "--j-max", "3"],
 ]
 
 

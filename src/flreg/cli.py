@@ -5,12 +5,12 @@ dataset CSV), predict (apply a model file to new curves), mc-table (Monte
 Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
-Exit codes: 0 success, 2 usage (--threads below 1, --m-max outside 1..50 and
---rho-count outside 1..1000 included), 3 data format, 4 numeric/precondition
-(out of memory and non-finite Monte Carlo errors included), 5 I/O.  File
-outputs are written to temporary files and atomically renamed, so a failing
-run never leaves a partial output behind; a command with two outputs
-(mc-table --out --profile) writes both or neither.
+Exit codes: 0 success, 2 usage (--threads below 1, --reps below 2, --m-max
+outside 1..50, --rho-count outside 1..1000 and --j-max outside 1..49 included),
+3 data format, 4 numeric/precondition (out of memory and non-finite Monte Carlo
+errors included), 5 I/O.  File outputs are written to temporary files and
+atomically renamed, so a failing run never leaves a partial output behind; a
+command with two outputs (mc-table --out --profile) writes both or neither.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     mct.add_argument("--sigma", type=_float_list, required=True, help="comma list")
     mct.add_argument("--n", type=_int_list, required=True, help="comma list")
     mct.add_argument("--alpha", type=_float_list, required=True, help="comma list")
-    mct.add_argument("--reps", type=int, default=200)
+    mct.add_argument("--reps", type=_bounded_int(2), default=200)
     mct.add_argument("--seed", type=int, default=0)
     mct.add_argument("--threads", type=_bounded_int(1), default=os.cpu_count() or 1)
     # No cutoff can exceed the grid size of an mc-table scenario.
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--beta", type=float, required=True)
     rate.add_argument("--n", type=_int_list, required=True, help="comma list, >= 3 sizes")
     rate.add_argument("--sigma", type=float, default=0.5)
-    rate.add_argument("--reps", type=int, default=200)
+    rate.add_argument("--reps", type=_bounded_int(2), default=200)
     rate.add_argument("--seed", type=int, default=0)
     rate.add_argument("--threads", type=_bounded_int(1), default=os.cpu_count() or 1)
     rate.add_argument("--out")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--spacing", type=_spacing, required=True)
     diag.add_argument("--sigma", type=float, default=0.5)
     diag.add_argument("--seed", type=int, default=0)
-    diag.add_argument("--j-max", type=int, default=10)
+    diag.add_argument("--j-max", type=_bounded_int(1, SimConfig.p - 1), default=10)
     diag.add_argument("--out")
     diag.set_defaults(func=_cmd_diagnose)
 

@@ -8,9 +8,10 @@ moments of each replication into a (B, p, p) covariance and a (B, p)
 cross-covariance array, decomposes the whole stack with one
 ``eigh_stack`` call, and ``cutoff_path`` and ``ridge_path`` give the
 estimates for every candidate m and rho on the same data (common random
-numbers) by batched matrix products.  The curves themselves are never
-stacked: each (n, p) draw is reduced to its moments and dropped.  It then
-aggregates, per candidate and on the evaluation grid,
+numbers) by batched matrix products.  Each (n, p) draw is reduced to its
+moments and dropped; the (candidate, R, p) estimate stacks, m_max + rho_count
+rows of p doubles per replication, are kept, as the variance needs the mean
+over all R.  It then aggregates them in place, per candidate on the grid,
 
     Bias^2 = integral of (mean estimate - true slope)^2,
     Var    = mean integral of (estimate - mean estimate)^2,
@@ -122,15 +123,14 @@ def integrated_bias_var(
     ``estimates`` is a (C, R, p) stack: for each of C candidates, R slope
     estimates on the grid; ``target`` is the true slope.  Returns two (C,)
     arrays.  The variance uses the population divisor R, which makes
-    MISE = Bias^2 + Var exact.  Each candidate is reduced in the same order
-    as an (R, p) array on its own: its mean over R in replication order, its
-    squared deviations summed over the flattened R * p values.
+    MISE = Bias^2 + Var exact.  Each candidate is reduced as an (R, p) array
+    on its own: its mean over R in replication order, and its squared
+    deviations, from its own block only, summed over the flattened R * p values.
     """
-    c, r, p = estimates.shape
+    _, r, p = estimates.shape
     mean_est = np.mean(estimates, axis=1)
     bias2 = np.sum((mean_est - target) ** 2, axis=1) / p
-    sq_dev = (estimates - mean_est[:, None, :]) ** 2
-    var = np.sum(sq_dev.reshape(c, r * p), axis=1) / (r * p)
+    var = np.array([np.sum((e - m) ** 2) for e, m in zip(estimates, mean_est)]) / (r * p)
     return bias2, var
 
 
@@ -263,7 +263,10 @@ def mc_run(
     valid_m = [m for m in m_grid if m <= rank]
     if not valid_m:
         raise RankError("every cutoff candidate exceeded the usable rank")
-    pca_bias2, pca_var = integrated_bias_var(cuts[[m - 1 for m in valid_m]], target)
+    # Rows 1..rank were filled by every chunk; score them in place.
+    pca_bias2, pca_var = integrated_bias_var(cuts[:rank], target)
+    rows = [m - 1 for m in valid_m]
+    pca_bias2, pca_var = pca_bias2[rows], pca_var[rows]
     ridge_bias2, ridge_var = integrated_bias_var(ridges, target)
     pca_mise, ridge_mise = pca_bias2 + pca_var, ridge_bias2 + ridge_var
     # argmin takes the first minimum: ties keep the smaller m and, over the
@@ -290,8 +293,6 @@ def mc_run(
 class RateFit:
     """Empirical convergence-rate fit of oracle MISE against sample size."""
 
-    alpha: float
-    beta: float
     sample_sizes: tuple[int, ...]
     mise_values: tuple[float, ...]
     fitted_slope: float
@@ -339,8 +340,6 @@ def rate_fit(
         raise ParameterError("MISE must be positive to fit a log-log slope")
     slope = float(np.polyfit(np.log(sizes), np.log(mise), 1)[0])
     return RateFit(
-        alpha=alpha,
-        beta=beta,
         sample_sizes=sizes,
         mise_values=mise,
         fitted_slope=slope,

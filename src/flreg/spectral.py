@@ -123,7 +123,8 @@ def perturbation_report(
     (p, p) kernels, at ranks 1..j_max.
 
     ``kernel`` provides the reference spectrum (its eigenvalues must be
-    distinct down to rank ``j_max``); ``other`` is the perturbed kernel.
+    distinct down to rank ``j_max``, a gap of at most p * eps * max|kappa|
+    being a tie); ``other`` is the perturbed kernel.
     Eigenfunctions of ``other`` are sign-aligned to the reference before
     distances are measured.
     """
@@ -133,7 +134,7 @@ def perturbation_report(
         raise ParameterError(f"j_max must lie in [1, {p - 1}], got {j_max}")
 
     min_gap = np.minimum.accumulate(ref_vals[:j_max] - ref_vals[1 : j_max + 1])
-    if min_gap[-1] <= 0.0:
+    if min_gap[-1] <= p * np.finfo(float).eps * np.max(np.abs(ref_vals)):
         raise DegenerateSpectrumError(f"reference spectrum tied at or before rank {j_max}")
 
     diff = kernel - other

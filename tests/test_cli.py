@@ -417,6 +417,7 @@ class TestMcTableThreads:
 MC_TABLE_ARGV = ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40", "--alpha", "2",
                  "--reps", "4"]
 RATE_CHECK_ARGV = ["rate-check", "--alpha", "2", "--beta", "2", "--n", "20,30,40", "--reps", "3"]
+DIAGNOSE_ARGV = ["diagnose", "--n", "40", "--alpha", "2", "--spacing", "well"]
 
 
 class TestBatchCommands:
@@ -494,14 +495,23 @@ class TestBatchCommands:
         (MC_TABLE_ARGV, "--m-max", "51", "in 1..50"),
         (MC_TABLE_ARGV, "--rho-count", "0", "in 1..1000"),
         (MC_TABLE_ARGV, "--rho-count", "1001", "in 1..1000"),
+        (MC_TABLE_ARGV, "--reps", "1", ">= 2"),
+        (MC_TABLE_ARGV, "--reps", "-3", ">= 2"),
+        (RATE_CHECK_ARGV, "--reps", "1", ">= 2"),
+        (DIAGNOSE_ARGV, "--j-max", "0", "in 1..49"),
+        (DIAGNOSE_ARGV, "--j-max", "50", "in 1..49"),
     ], ids=["mc-table-0", "mc-table--3", "rate-check-0", "rate-check--3",
             "mc-table-m-max-0", "mc-table-m-max-51",
-            "mc-table-rho-count-0", "mc-table-rho-count-1001"])
+            "mc-table-rho-count-0", "mc-table-rho-count-1001",
+            "mc-table-reps-1", "mc-table-reps--3", "rate-check-reps-1",
+            "diagnose-j-max-0", "diagnose-j-max-50"])
     def test_thread_count_below_one_is_a_usage_error(
         self, tmp_path, capsys, argv, flag, value, bounds
     ):
-        # Also --m-max outside 1..50 (no cutoff can exceed the grid size) and
-        # --rho-count outside 1..1000 (the ridge stack grows with it).
+        # Also --m-max outside 1..50 (no cutoff can exceed the grid size),
+        # --rho-count outside 1..1000 (the ridge stack grows with it), --reps
+        # below 2 (the variance needs two replications) and --j-max outside
+        # 1..49 (a report needs the gap below rank j_max on the 50-point grid).
         out = tmp_path / "out.tsv"
         assert run(argv + [flag, value, "--out", str(out)]) == 2
         captured = capsys.readouterr()

@@ -5,6 +5,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -116,6 +117,22 @@ class TestMcRun:
         assert a.rho_profile == b.rho_profile
         assert (a.m_star, a.rho_star) == (b.m_star, b.rho_star)
         assert (a.mise_pca, a.mise_ridge) == (b.mise_pca, b.mise_ridge)
+
+    def test_scoring_makes_no_stack_sized_copies(self):
+        # The (20, R, p) cutoff and (25, R, p) ridge stacks are 36 MB at
+        # R = 2000; a squared-deviation temporary of the whole ridge stack
+        # alone would lift the traced peak past 1.5 times that.
+        config = SimConfig(n=40, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=0)
+        replications = 2000
+        stacks = (20 + 25) * replications * config.p * 8
+        tracemalloc.start()
+        try:
+            result = mc_run(config, replications, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.excluded_m == ()
+        assert peak < 1.5 * stacks
 
     def test_rank_failures_are_excluded_and_reported(self):
         # n = 5 caps the covariance rank at 4, so m = 10 must fail
@@ -351,14 +368,16 @@ class TestOracleTune:
 
     def test_tie_breaking(self, monkeypatch):
         # Tied MISE goes to the smallest valid m and the largest rho; n = 5
-        # caps the usable rank at 4, so m = 10 is excluded.
+        # caps the usable rank at 4, so m = 10 is excluded.  The cutoff stack
+        # is scored first and holds m = 1..4, where m = 1 is off the grid.
         tiny = SimConfig(n=5, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=2)
-        for pattern, m_star, rho_star in (
-            ((1.0, 1.0, 1.0, 1.0), 2, 1.0),  # all tied
-            ((3.0, 1.0, 1.0, 2.0), 3, 0.1),  # tied at two inner candidates
+        for cut_pattern, ridge_pattern, m_star, rho_star in (
+            ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 2, 1.0),  # all tied
+            ((0.5, 3.0, 1.0, 1.0), (3.0, 1.0, 1.0, 2.0), 3, 0.1),  # tied at two inner candidates
         ):
-            def tied(estimates, target, pattern=pattern):
-                mise = np.array(pattern[: len(estimates)])
+            def tied(estimates, target, patterns=iter((cut_pattern, ridge_pattern))):
+                mise = np.array(next(patterns))
+                assert len(estimates) == len(mise)
                 return mise / 2, mise / 2
 
             monkeypatch.setattr(evaluation, "integrated_bias_var", tied)

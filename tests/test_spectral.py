@@ -187,6 +187,17 @@ class TestPerturbationReport:
         with pytest.raises(DegenerateSpectrumError):
             perturbation_report(tied, tied, 5)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rank_one", "negative_rank_one"])
+    def test_rounding_level_gaps_are_ties(self, sign):
+        # All eigenvalues but one are zero up to rounding, so the gap at rank
+        # 2 (and at rank 1 of the negated kernel) is ~1e-17, between arbitrary
+        # null-space eigenvectors.  The negated kernel's largest eigenvalue is
+        # itself noise: only a tolerance scaled by max|kappa| rejects it.
+        phi = np.random.default_rng(0).standard_normal(50)
+        kernel = sign * np.outer(phi, phi)
+        with pytest.raises(DegenerateSpectrumError, match="tied at or before rank 2"):
+            perturbation_report(kernel, kernel, 2)
+
     def test_kernels_must_be_square_and_alike(self):
         kernel = truth_bundle(WELL).kernel
         pairs = ((kernel, kernel[:9, :9]), (kernel[0], kernel[0]), (kernel[:, :9], kernel[:, :9]))
