@@ -70,6 +70,10 @@ CORPUS = [
     MC_SMALL + ["--rho-count", "0", "--out", "rho.tsv"],
     MC_SMALL + ["--rho-count", "1001", "--out", "rho.tsv"],
     MC_SMALL + ["--reps", "1", "--out", "reps.tsv"],
+    # A one-candidate cutoff grid.
+    MC_SMALL + ["--m-max", "1", "--out", "m1.tsv", "--profile", "m1p.tsv"],
+    # One file named twice: a usage error before any run.
+    MC_SMALL + ["--out", "./same.tsv", "--profile", "same.tsv"],
     _diagnose("well", "50", "2", "0"),
     # A rank-one truth: every eigenvalue after the first is rounding noise.
     ["diagnose", "--n", "40", "--alpha", "1e300", "--spacing", "well", "--j-max", "3"],

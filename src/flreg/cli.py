@@ -6,9 +6,10 @@ Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 
 Exit codes: 0 success, 2 usage (--threads below 1, --reps below 2, --m-max
-outside 1..50, --rho-count outside 1..1000 and --j-max outside 1..49 included),
-3 data format, 4 numeric/precondition (out of memory and non-finite Monte Carlo
-errors included), 5 I/O.  File outputs are written to temporary files and
+outside 1..50, --rho-count outside 1..1000, --j-max outside 1..49 and mc-table
+--out and --profile naming the same file included), 3 data format, 4
+numeric/precondition (out of memory and non-finite Monte Carlo errors
+included), 5 I/O.  File outputs are written to temporary files and
 atomically renamed, so a failing run never leaves a partial output behind; a
 command with two outputs (mc-table --out --profile) writes both or neither.
 """
@@ -183,6 +184,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc_table(args: argparse.Namespace) -> int:
+    if args.out is not None and args.profile is not None and (
+        os.path.realpath(args.out) == os.path.realpath(args.profile)
+    ):
+        raise _UsageError("--out and --profile name the same file")
     m_grid = tuple(range(1, args.m_max + 1))
     rho_grid = default_rho_grid(args.rho_count, args.rho_min, args.rho_max)
     results = []

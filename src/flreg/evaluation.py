@@ -9,9 +9,9 @@ cross-covariance array, decomposes the whole stack with one
 ``eigh_stack`` call, and ``cutoff_path`` and ``ridge_path`` give the
 estimates for every candidate m and rho on the same data (common random
 numbers) by batched matrix products.  Each (n, p) draw is reduced to its
-moments and dropped; the (candidate, R, p) estimate stacks, m_max + rho_count
-rows of p doubles per replication, are kept, as the variance needs the mean
-over all R.  It then aggregates them in place, per candidate on the grid,
+moments and dropped; the (candidate, R, p) estimate stacks, one row of p
+doubles per grid candidate and replication, are kept, as the variance needs
+the mean over all R.  It then aggregates them in place, per candidate,
 
     Bias^2 = integral of (mean estimate - true slope)^2,
     Var    = mean integral of (estimate - mean estimate)^2,
@@ -232,18 +232,20 @@ def mc_run(
 
     truth = truth_bundle(config)
     target, p = truth.slope, config.p
-    # (candidate, replication, p) stacks; chunks fill disjoint replication slots.
-    cuts = np.empty((min(m_grid[-1], p), replications, p))
+    # (candidate, replication, p) stacks, one row per grid candidate (no cutoff
+    # above p can be usable); chunks fill disjoint replication slots.
+    cuts = np.empty((sum(m <= p for m in m_grid), replications, p))
     ridges = np.empty((len(rho_grid), replications, p))
 
     def solve_chunk(start: int) -> int:
         reps = range(start, min(start + CHUNK, replications))
         covs, cross = _replication_moments(config, truth, reps)
         vals, vecs = eigh_stack(covs)
-        cut = cutoff_path(vals, vecs, cross, len(cuts))
-        cuts[: cut.shape[1], start : reps.stop] = np.swapaxes(cut, 0, 1)
+        cut = cutoff_path(vals, vecs, cross, m_grid[-1])
+        rows = [m - 1 for m in m_grid if m <= cut.shape[1]]
+        cuts[: len(rows), start : reps.stop] = np.swapaxes(cut[:, rows], 0, 1)
         ridges[:, start : reps.stop] = np.swapaxes(ridge_path(vals, vecs, cross, rho_grid), 0, 1)
-        return cut.shape[1]
+        return len(rows)
 
     starts = range(0, replications, CHUNK)
     if threads > 1 and len(starts) > 1:
@@ -253,20 +255,17 @@ def mc_run(
             # Each chunk runs in its own copy of the caller's context, so under
             # the caller's numpy error state.
             contexts = [copy_context() for _ in starts]
-            ranks = list(pool.map(lambda ctx, start: ctx.run(solve_chunk, start),
-                                  contexts, starts))
+            counts = list(pool.map(lambda ctx, start: ctx.run(solve_chunk, start),
+                                   contexts, starts))
     else:
-        ranks = [solve_chunk(start) for start in starts]
+        counts = [solve_chunk(start) for start in starts]
 
-    # A cutoff beyond the usable rank of any replication is excluded.
-    rank = min(ranks)
-    valid_m = [m for m in m_grid if m <= rank]
+    # Each chunk filled a prefix of the sorted grid: the cutoffs within its
+    # usable rank.  A cutoff beyond the usable rank of any replication is excluded.
+    valid_m = m_grid[: min(counts)]
     if not valid_m:
         raise RankError("every cutoff candidate exceeded the usable rank")
-    # Rows 1..rank were filled by every chunk; score them in place.
-    pca_bias2, pca_var = integrated_bias_var(cuts[:rank], target)
-    rows = [m - 1 for m in valid_m]
-    pca_bias2, pca_var = pca_bias2[rows], pca_var[rows]
+    pca_bias2, pca_var = integrated_bias_var(cuts[: len(valid_m)], target)
     ridge_bias2, ridge_var = integrated_bias_var(ridges, target)
     pca_mise, ridge_mise = pca_bias2 + pca_var, ridge_bias2 + ridge_var
     # argmin takes the first minimum: ties keep the smaller m and, over the
@@ -285,7 +284,7 @@ def mc_run(
         var_ridge=float(ridge_var[k]),
         m_profile=tuple(zip(valid_m, pca_mise.tolist())),
         rho_profile=tuple(zip(rho_grid, ridge_mise.tolist())),
-        excluded_m=tuple(m for m in m_grid if m > rank),
+        excluded_m=m_grid[len(valid_m) :],
     )
 
 

@@ -19,7 +19,7 @@ per-rank values as columns, one read-only (j_max,) array each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -197,13 +197,14 @@ def resolvent_identity_residual(kernel: np.ndarray, other: np.ndarray, j: int) -
 
 
 def report_to_tsv(report: PerturbationReport) -> str:
-    """Serialize a PerturbationReport as TSV, one row per eigenvalue rank."""
+    """Serialize a PerturbationReport as TSV: a comment line of its scalar
+    fields, then one row per eigenvalue rank j of its column fields."""
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    columns = [name for name, value in values.items() if np.ndim(value) == 1]
     lines = [
-        f"# hs_gap={report.hs_gap:.17g}\tmax_eigen_gap={report.max_eigen_gap:.17g}",
-        "j\tmin_gap\teigenfunction_distance\tslack_eigenvalue\tslack_eigenfunction",
+        "# " + "\t".join(f"{k}={v:.17g}" for k, v in values.items() if k not in columns),
+        "\t".join(["j"] + columns),
     ]
-    columns = (report.min_gap, report.eigenfunction_distance,
-               report.slack_eigenvalue, report.slack_eigenfunction)
-    for j, values in enumerate(zip(*(c.tolist() for c in columns)), start=1):
-        lines.append("\t".join([str(j)] + [f"{v:.17g}" for v in values]))
+    for j, row in enumerate(zip(*(values[name].tolist() for name in columns)), start=1):
+        lines.append("\t".join([str(j)] + [f"{v:.17g}" for v in row]))
     return "\n".join(lines) + "\n"

@@ -448,6 +448,20 @@ class TestBatchCommands:
                     "--threads", "1", "--out", str(out), "--profile", str(prof)]) == 5
         assert os.listdir(tmp_path) == []
 
+    def test_mc_table_same_out_and_profile_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The profile would replace the table: rejected before any run.
+        calls = []
+        monkeypatch.setattr(flreg.cli, "mc_run", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert run(MC_TABLE_ARGV + ["--out", "./t.tsv", "--profile", "t.tsv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "flreg: usage error: --out and --profile name the same file\n"
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
     def test_rate_check_smoke(self, tmp_path):
         out = tmp_path / "rate.tsv"
         assert run(["rate-check", "--alpha", "2", "--beta", "2",
@@ -558,13 +572,6 @@ class TestScripts:
                         "--format", "text", "--out", str(table), "--profile", str(prof)]) == 0
             assert f"== {design} ==\n{read(table)}" in stdout
             assert read(tmp_path / "res" / f"profile_{design}.tsv") == read(prof)
-
-    def test_rate_study_wraps_rate_check(self, tmp_path):
-        out = tmp_path / "rate.tsv"
-        assert run(["rate-check", "--alpha", "2", "--beta", "2", "--n", "30,60,120",
-                    "--reps", "3", "--seed", "7", "--threads", "1", "--out", str(out)]) == 0
-        assert self.script("rate_study.py", "--n", "30,60,120", "--reps", "3",
-                           "--threads", "1") == read(out)
 
     def test_byte_corpus_runs_agree(self):
         spec = importlib.util.spec_from_file_location(

@@ -134,6 +134,29 @@ class TestMcRun:
         assert result.excluded_m == ()
         assert peak < 1.5 * stacks
 
+    def test_sparse_grid_keeps_only_its_candidates(self):
+        # m_grid=(20,) needs a (1, R, p) cutoff stack beside the (25, R, p)
+        # ridge stack, 21 MB at R = 2000; keeping rows 1..20 would add 15 MB.
+        config = SimConfig(n=40, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=0)
+        replications = 2000
+        stacks = (1 + 25) * replications * config.p * 8
+        tracemalloc.start()
+        try:
+            result = mc_run(config, replications, m_grid=(20,), threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.m_star == 20
+        assert peak < 1.5 * stacks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sparse_grid_profile_matches_full_grid(self, threads):
+        # 70 replications span two chunks of at most 64.
+        full = dict(mc_run(SMALL, 70, rho_grid=(1e-2,), threads=1).m_profile)
+        sparse = mc_run(SMALL, 70, m_grid=(5, 20), rho_grid=(1e-2,), threads=threads)
+        assert sparse.excluded_m == ()
+        assert sparse.m_profile == ((5, full[5]), (20, full[20]))
+
     def test_rank_failures_are_excluded_and_reported(self):
         # n = 5 caps the covariance rank at 4, so m = 10 must fail
         tiny = SimConfig(n=5, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=2)
@@ -369,11 +392,11 @@ class TestOracleTune:
     def test_tie_breaking(self, monkeypatch):
         # Tied MISE goes to the smallest valid m and the largest rho; n = 5
         # caps the usable rank at 4, so m = 10 is excluded.  The cutoff stack
-        # is scored first and holds m = 1..4, where m = 1 is off the grid.
+        # is scored first and holds the valid grid m = 2, 3, 4.
         tiny = SimConfig(n=5, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=2)
         for cut_pattern, ridge_pattern, m_star, rho_star in (
-            ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 2, 1.0),  # all tied
-            ((0.5, 3.0, 1.0, 1.0), (3.0, 1.0, 1.0, 2.0), 3, 0.1),  # tied at two inner candidates
+            ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 2, 1.0),  # all tied
+            ((3.0, 1.0, 1.0), (3.0, 1.0, 1.0, 2.0), 3, 0.1),  # tied at two inner candidates
         ):
             def tied(estimates, target, patterns=iter((cut_pattern, ridge_pattern))):
                 mise = np.array(next(patterns))
