@@ -74,6 +74,11 @@ CORPUS = [
     MC_SMALL + ["--m-max", "1", "--out", "m1.tsv", "--profile", "m1p.tsv"],
     # One file named twice: a usage error before any run.
     MC_SMALL + ["--out", "./same.tsv", "--profile", "same.tsv"],
+    # Flags and scenarios are checked before any file is read or run started.
+    ["fit", "--data", "missing.csv", "--method", "pca", "--out", "x.model"],
+    ["fit", "--data", "train.csv", "--method", "ridge", "--out", "x.model"],
+    ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40,1", "--alpha", "2",
+     "--reps", "4", "--threads", "1"],
     _diagnose("well", "50", "2", "0"),
     # A rank-one truth: every eigenvalue after the first is rounding noise.
     ["diagnose", "--n", "40", "--alpha", "1e300", "--spacing", "well", "--j-max", "3"],

@@ -4,6 +4,9 @@ Subcommands: simulate (write a dataset CSV), fit (estimate a model from a
 dataset CSV), predict (apply a model file to new curves), mc-table (Monte
 Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
+A command checks its flags and builds every scenario it will run before it
+reads a file or starts a run, so a usage error or a bad scenario costs no I/O
+and no Monte Carlo work.
 
 Exit codes: 0 success, 2 usage (--threads below 1, --reps below 2, --m-max
 outside 1..50, --rho-count outside 1..1000, --j-max outside 1..49 and mc-table
@@ -158,23 +161,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    grid, X, Y = dataset_from_csv(_read_text(args.data), require_y=True)
+    flag, value, fit = (
+        ("--m", args.m, pca_fit) if args.method == "pca" else ("--rho", args.rho, ridge_fit)
+    )
+    if value is None:
+        raise _UsageError(f"--method {args.method} requires {flag}")
+    grid, X, Y = dataset_from_csv(_read_text(args.data))
+    if Y is None:
+        raise DataFormatError("dataset CSV header has no y column, which fit needs")
     moments = compute_moments(Dataset(grid=grid, X=X, Y=Y))
-    if args.method == "pca":
-        if args.m is None:
-            raise _UsageError("--method pca requires --m")
-        model = pca_fit(moments, args.m)
-    else:
-        if args.rho is None:
-            raise _UsageError("--method ridge requires --rho")
-        model = ridge_fit(moments, args.rho)
-    _emit(model_to_text(model), args.out)
+    _emit(model_to_text(fit(moments, value)), args.out)
     return EXIT_OK
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = model_from_text(_read_text(args.model))
-    grid, X, _ = dataset_from_csv(_read_text(args.data), require_y=False)
+    grid, X, _ = dataset_from_csv(_read_text(args.data))
     if grid.p != model.slope.size:
         raise DataFormatError(
             f"data grid (p={grid.p}) does not match model grid (p={model.slope.size})"
@@ -190,17 +192,14 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
         raise _UsageError("--out and --profile name the same file")
     m_grid = tuple(range(1, args.m_max + 1))
     rho_grid = default_rho_grid(args.rho_count, args.rho_min, args.rho_max)
-    results = []
-    for sigma in args.sigma:
-        for n in args.n:
-            for alpha in args.alpha:
-                config = SimConfig(
-                    n=n, sigma_eps=sigma, alpha=alpha,
-                    spacing=args.spacing, seed=args.seed,
-                )
-                results.append(
-                    mc_run(config, args.reps, m_grid, rho_grid, threads=args.threads)
-                )
+    configs = [
+        SimConfig(n=n, sigma_eps=sigma, alpha=alpha, spacing=args.spacing, seed=args.seed)
+        for sigma in args.sigma for n in args.n for alpha in args.alpha
+    ]
+    results = [
+        mc_run(config, args.reps, m_grid, rho_grid, threads=args.threads)
+        for config in configs
+    ]
     table = emit_table(results, fmt=args.format)
     files = [] if args.out is None else [(args.out, table)]
     if args.profile is not None:
@@ -222,13 +221,12 @@ def _cmd_rate_check(args: argparse.Namespace) -> int:
     # Reject a bad exponent or too few distinct sizes before the runs.
     theoretical_rate_slope(args.alpha, args.beta)
     sizes = rate_sample_sizes(sorted(args.n))
-    results = []
-    for n in sizes:
-        config = SimConfig(
-            n=n, sigma_eps=args.sigma, alpha=args.alpha,
-            spacing="well_spaced", seed=args.seed,
-        )
-        results.append(mc_run(config, args.reps, threads=args.threads))
+    configs = [
+        SimConfig(n=n, sigma_eps=args.sigma, alpha=args.alpha,
+                  spacing="well_spaced", seed=args.seed)
+        for n in sizes
+    ]
+    results = [mc_run(config, args.reps, threads=args.threads) for config in configs]
     lines = ["estimator\tn\tmise\tfitted_slope\ttheoretical_slope"]
     for estimator in ("pca", "ridge"):
         fit = rate_fit(args.alpha, args.beta, sizes, results, estimator=estimator)

@@ -94,10 +94,6 @@ class SimConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.p)
-
 
 def replication_seed(seed: int, replication: int) -> int:
     """Seed of replication r of a Monte Carlo run with seed ``seed``.
@@ -199,13 +195,12 @@ def truth_bundle(config: SimConfig) -> TruthBundle:
 
 @functools.lru_cache(maxsize=64)
 def _truth_bundle(spacing: str, alpha: float, n_terms: int, p: int) -> TruthBundle:
-    grid = Grid(p)
     gamma = gamma_sequence(spacing, alpha, n_terms)
-    B = basis_matrix(grid, n_terms)
+    B = basis_matrix(Grid(p), n_terms)
     kappa = gamma**2
     order = np.argsort(-kappa, kind="stable")
     bundle = TruthBundle(
-        slope=true_slope(grid, n_terms),
+        slope=slope_coefficients(n_terms) @ B,  # true_slope without a second basis
         gamma=gamma,
         basis=B,
         eigenvalues=kappa[order],
@@ -249,7 +244,7 @@ def draw_dataset(config: SimConfig) -> tuple[Dataset, TruthBundle]:
     scenario's truth."""
     truth = truth_bundle(config)
     X, y = draw_xy(config.n, config.sigma_eps, config.seed, truth)
-    return Dataset(grid=config.grid, X=X, Y=y), truth
+    return Dataset(grid=Grid(config.p), X=X, Y=y), truth
 
 
 # p in ASCII digits; the group drops leading zeros.
@@ -271,16 +266,14 @@ def dataset_to_csv(data: Dataset) -> str:
     return "\n".join(lines)
 
 
-def dataset_from_csv(
-    text: str, require_y: bool = True
-) -> tuple[Grid, np.ndarray, np.ndarray | None]:
+def dataset_from_csv(text: str) -> tuple[Grid, np.ndarray, np.ndarray | None]:
     """Parse dataset CSV text back into grid, (n, p) covariate matrix and
     responses.  Blank lines are skipped (``_nonblank_lines``), and every cell
     must be a finite number as ``np.loadtxt`` reads it (``_read_cells``); the
     first bad data line is named by its line number, blank lines included.
 
-    With ``require_y=False`` the y column may be absent, in which case the
-    returned responses are None (as needed when predicting on new curves).
+    The y column is optional: the responses are None when the header has
+    none (new curves to predict on); a caller that needs them checks.
     The returned arrays are fresh and read-only.
     """
     linenos, lines = _nonblank_lines(text)
@@ -301,8 +294,7 @@ def dataset_from_csv(
     header = lines[1].split(",")
     has_y = header[-1] == "y"
     p = len(header) - has_y
-    if (str(p) != declared or (require_y and not has_y)
-            or header[:p] != [f"x_{i}" for i in range(1, p + 1)]):
+    if str(p) != declared or header[:p] != [f"x_{i}" for i in range(1, p + 1)]:
         raise DataFormatError(
             f"dataset CSV header does not match the declared grid size p={declared}"
         )

@@ -118,11 +118,32 @@ class TestFitPredict:
         assert err.startswith("flreg: ridge parameter must be finite") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_missing_tuning_flag_is_usage_error(self, tmp_path):
-        data = simulate(tmp_path, n=6)
+    @pytest.mark.parametrize("data", ["valid", "missing", "non-numeric"])
+    @pytest.mark.parametrize("method,flag", [("pca", "--m"), ("ridge", "--rho")],
+                             ids=["pca", "ridge"])
+    def test_missing_tuning_flag_is_usage_error(self, tmp_path, capsys, data, method, flag):
+        # Checked before the data is read: a missing or malformed file would
+        # exit 5 or 3.
+        path = tmp_path / "data.csv"
+        if data == "valid":
+            path = simulate(tmp_path, name="data.csv", n=6)
+        elif data == "non-numeric":
+            path.write_text("# grid=midpoint p=2\nx_1,x_2,y\n1,zap,3\n")
         out = tmp_path / "model.txt"
-        assert run(["fit", "--data", str(data), "--method", "pca",
+        assert run(["fit", "--data", str(path), "--method", method,
                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"flreg: usage error: --method {method} requires {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", [["pca", "--m", "1"], ["ridge", "--rho", "0.1"]],
+                             ids=["pca", "ridge"])
+    def test_fit_without_y_column_names_it(self, tmp_path, capsys, method):
+        data = tmp_path / "data.csv"
+        data.write_text("# grid=midpoint p=2\nx_1,x_2\n1,2\n3,5\n")
+        out = tmp_path / "model.txt"
+        assert run(["fit", "--data", str(data), "--method", *method, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "flreg: data format error: dataset CSV header has no y column, which fit needs\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("header", ["x_1,x_2,x_3,y", "x_1,x_2,x_3"])
@@ -461,6 +482,24 @@ class TestBatchCommands:
         assert captured.err == "flreg: usage error: --out and --profile name the same file\n"
         assert calls == []
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag,values,message", [
+        ("--n", "100,1", "need n >= 2, got 1"),
+        ("--alpha", "2,-1", "need finite alpha > 0, got -1.0"),
+    ], ids=["n", "alpha"])
+    def test_mc_table_checks_every_scenario_before_running(
+        self, capsys, monkeypatch, flag, values, message
+    ):
+        # The valid first scenario is not run before the bad one is rejected.
+        calls = []
+        monkeypatch.setattr(flreg.cli, "mc_run", lambda *a, **k: calls.append(a))
+        argv = ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "100",
+                "--alpha", "2", "--reps", "1000", "--threads", "1"]
+        argv[argv.index(flag) + 1] = values
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"flreg: {message}\n"
+        assert calls == []
 
     def test_rate_check_smoke(self, tmp_path):
         out = tmp_path / "rate.tsv"

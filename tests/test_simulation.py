@@ -163,6 +163,21 @@ class TestTruthBundle:
         assert peak < 8_000_000
         assert "kernel" not in vars(truth)
 
+    def test_basis_is_built_once(self):
+        # The slope is taken on the bundle's own basis, not on a second copy:
+        # at p = n_terms = 3000 each copy takes 72 MB.  An alpha no other test
+        # uses, so the bundle is made under the trace.
+        config = SimConfig(n=2, sigma_eps=0.5, alpha=2.03125, spacing="well_spaced",
+                           n_terms=3000, p=3000)
+        tracemalloc.start()
+        try:
+            truth = truth_bundle(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * truth.basis.nbytes
+        assert truth.slope.tobytes() == true_slope(Grid(3000), 3000).tobytes()
+
 
 def reference_draw(config):
     """The draw as ``Generator.uniform`` scores: the bits ``draw_xy`` keeps."""
@@ -357,10 +372,10 @@ class TestDatasetCsv:
         assert X.tolist() == [[1.0, 2.0], [4.0, 5.0]] and Y.tolist() == [3.0, 6.0]
 
     def test_y_column_optional_only_on_request(self):
+        # A header without y gives no responses; fit, which needs them, checks
+        # (tests/test_cli.py::TestFitPredict::test_fit_without_y_column_names_it).
         text = "# grid=midpoint p=2\nx_1,x_2\n1,2\n"
-        with pytest.raises(DataFormatError):
-            dataset_from_csv(text, require_y=True)
-        _, X, Y = dataset_from_csv(text, require_y=False)
+        _, X, Y = dataset_from_csv(text)
         assert Y is None and X.shape == (1, 2)
         _, X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n")
         assert X.shape == (0, 2) and Y.shape == (0,)
@@ -507,7 +522,7 @@ class TestDatasetCsvFastRoute:
         text, p, has_y = case
         table, message = oracle_table(text, p + has_y)
         try:
-            _, X, Y = dataset_from_csv(text, require_y=has_y)
+            _, X, Y = dataset_from_csv(text)
         except DataFormatError as exc:
             assert str(exc) == message
             return
