@@ -77,6 +77,11 @@ CORPUS = [
     # Flags and scenarios are checked before any file is read or run started.
     ["fit", "--data", "missing.csv", "--method", "pca", "--out", "x.model"],
     ["fit", "--data", "train.csv", "--method", "ridge", "--out", "x.model"],
+    # The other method's tuning flag is a usage error, not ignored.
+    ["fit", "--data", "train.csv", "--method", "ridge", "--rho", "0.05", "--m", "5",
+     "--out", "x.model"],
+    ["fit", "--data", "train.csv", "--method", "pca", "--m", "5", "--rho", "0.1",
+     "--out", "x.model"],
     ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40,1", "--alpha", "2",
      "--reps", "4", "--threads", "1"],
     _diagnose("well", "50", "2", "0"),

@@ -39,7 +39,6 @@ from .simulation import (
     basis_matrix,
     draw_dataset,
     gamma_sequence,
-    true_slope,
     truth_bundle,
 )
 from .evaluation import (

@@ -9,12 +9,12 @@ reads a file or starts a run, so a usage error or a bad scenario costs no I/O
 and no Monte Carlo work.
 
 Exit codes: 0 success, 2 usage (--threads below 1, --reps below 2, --m-max
-outside 1..50, --rho-count outside 1..1000, --j-max outside 1..49 and mc-table
---out and --profile naming the same file included), 3 data format, 4
-numeric/precondition (out of memory and non-finite Monte Carlo errors
-included), 5 I/O.  File outputs are written to temporary files and
-atomically renamed, so a failing run never leaves a partial output behind; a
-command with two outputs (mc-table --out --profile) writes both or neither.
+outside 1..50, --rho-count outside 1..1000, --j-max outside 1..49, mc-table
+--out and --profile naming one file, fit missing its method's tuning flag or
+given the other's), 3 data format, 4 numeric/precondition (out of memory and
+non-finite Monte Carlo errors included), 5 I/O.  File outputs are written to
+temporary files and atomically renamed, so a failing run never leaves a partial
+output behind, and mc-table --out --profile writes both or neither.
 """
 
 from __future__ import annotations
@@ -161,25 +161,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    flag, value, fit = (
-        ("--m", args.m, pca_fit) if args.method == "pca" else ("--rho", args.rho, ridge_fit)
-    )
+    pca = args.method == "pca"
+    flag, value, fit = ("--m", args.m, pca_fit) if pca else ("--rho", args.rho, ridge_fit)
+    other, stray = ("--rho", args.rho) if pca else ("--m", args.m)
     if value is None:
         raise _UsageError(f"--method {args.method} requires {flag}")
-    grid, X, Y = dataset_from_csv(_read_text(args.data))
+    if stray is not None:
+        raise _UsageError(f"--method {args.method} does not take {other}")
+    X, Y = dataset_from_csv(_read_text(args.data))
     if Y is None:
         raise DataFormatError("dataset CSV header has no y column, which fit needs")
-    moments = compute_moments(Dataset(grid=grid, X=X, Y=Y))
+    moments = compute_moments(Dataset(X=X, Y=Y))
     _emit(model_to_text(fit(moments, value)), args.out)
     return EXIT_OK
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = model_from_text(_read_text(args.model))
-    grid, X, _ = dataset_from_csv(_read_text(args.data))
-    if grid.p != model.slope.size:
+    X, _ = dataset_from_csv(_read_text(args.data))
+    if X.shape[1] != model.slope.size:
         raise DataFormatError(
-            f"data grid (p={grid.p}) does not match model grid (p={model.slope.size})"
+            f"data grid (p={X.shape[1]}) does not match model grid (p={model.slope.size})"
         )
     _emit("".join(f"{y:.17g}\n" for y in predict(model, X).tolist()), args.out)
     return EXIT_OK

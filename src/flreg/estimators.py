@@ -1,8 +1,8 @@
 """Slope and intercept estimation for the scalar-on-function linear model.
 
-Given pairs (X_i, Y_i) with functional covariates, the centred second
-moments are the empirical covariance kernel and the empirical
-cross-covariance function; ``moment_arrays`` computes them with BLAS
+A ``Dataset`` is the pairs (X_i, Y_i): an (n, p) X and an (n,) Y, n and p
+read from ``X.shape``.  ``moment_arrays`` computes their centred second
+moments, the empirical covariance kernel and cross-covariance, with BLAS
 (``syrk`` for the covariance, so it is exactly symmetric, and ``gemv`` for
 the cross-covariance).  Both slope estimators filter the coordinates
 <cross_cov, v_j> of an eigendecomposition, and one array kernel each gives
@@ -69,28 +69,34 @@ PCA_RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Dataset:
-    """n functional observations with scalar responses.
+    """n >= 2 functional observations with scalar responses.
 
-    Row i of the (n, p) matrix ``X`` samples the covariate X_i at the grid
-    midpoints; ``Y`` holds the n responses.
+    Row i of the (n, p) matrix ``X`` samples the covariate X_i at the p >= 2
+    grid midpoints; ``Y`` holds the n responses.  n and p are ``X.shape``.
     """
 
-    grid: Grid
     X: np.ndarray  # (n, p)
     Y: np.ndarray  # (n,)
 
     def __post_init__(self) -> None:
-        n = len(self.X)
+        if np.ndim(self.X) != 2:
+            raise DimensionMismatchError(f"X has shape {np.shape(self.X)}, expected (n, p)")
+        n, p = np.shape(self.X)
+        if p < 2:
+            raise ParameterError(f"grid needs at least 2 points, got p={p}")
         if n < 2:
             raise InsufficientDataError(f"need at least 2 observations, got {n}")
-        X = _frozen_array(self.X, (n, self.grid.p), "X")
-        Y = _frozen_array(self.Y, (n,), "Y")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "X", _frozen_array(self.X, (n, p), "X"))
+        object.__setattr__(self, "Y", _frozen_array(self.Y, (n,), "Y"))
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    # Read only by the perfbench/spans.py SIZES pin; delete it with that pin.
+    @property
+    def grid(self) -> Grid:
+        return Grid(self.X.shape[1])
 
 
 Moments = tuple[np.ndarray, float, np.ndarray, np.ndarray]

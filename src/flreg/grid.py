@@ -1,4 +1,4 @@
-"""The midpoint grid on [0, 1] and the checks shared by its arrays.
+"""The midpoint grid on [0, 1] and the check of the arrays kept on it.
 
 Every function in this package is discretised at the p midpoints
 t_i = (2i - 1) / (2p) of [0, 1], integrated with the uniform quadrature
@@ -7,10 +7,10 @@ basis used by the simulator exactly orthonormal in the discrete inner
 product, so basis error can never leak into estimator tests.
 
 A function on the grid is a (p,) float array and a kernel a (p, p) float
-array.  Values the package keeps (datasets, fitted slopes, the true slope
-and covariance) are read-only, so they can be shared freely across
-threads; ``_frozen_array`` checks and freezes those built from input,
-copying only arrays that are not already frozen and self-owned.
+array, p read from their shapes.  Values the package keeps (datasets, fitted
+slopes, the true slope and covariance) are read-only and shared freely across
+threads; ``_frozen_array`` checks and freezes those built from input, copying
+only arrays that are not already frozen and self-owned.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ParameterError
 
 __all__ = ["Grid"]
-
-# Relative asymmetry allowed in a kernel, in units of max|values|.
-SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,18 +78,3 @@ class GridFunction:
     def __post_init__(self) -> None:
         arr = _frozen_array(self.values, (self.grid.p,), "GridFunction values")
         object.__setattr__(self, "values", arr)
-
-
-def _require_symmetric(kernels: np.ndarray) -> None:
-    """Raise unless every (p, p) matrix in the (..., p, p) array ``kernels``
-    is symmetric to SYMMETRY_RTOL of its own largest entry.
-
-    An exactly symmetric stack, as BLAS ``syrk`` makes, passes on one
-    elementwise comparison; only other stacks pay for the tolerance
-    reduction.  Both routes accept and reject the same inputs."""
-    if np.array_equal(kernels, np.swapaxes(kernels, -2, -1)):
-        return
-    scale = np.max(np.abs(kernels), axis=(-2, -1))
-    asym = np.max(np.abs(kernels - np.swapaxes(kernels, -2, -1)), axis=(-2, -1))
-    if np.any(asym > SYMMETRY_RTOL * scale):
-        raise ParameterError("kernel is not symmetric within tolerance")

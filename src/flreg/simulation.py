@@ -29,6 +29,7 @@ curves are one BLAS matrix product of the scaled scores with the basis
 The truth of a scenario (``truth_bundle``) depends only on its design, not
 on n, noise or seed, and is built once per design and shared read-only.
 Its (p, p) kernel is built on first read; of the CLI, only ``diagnose`` does.
+``dataset_from_csv`` reads ``dataset_to_csv`` text back as arrays (X, Y).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "TruthBundle",
     "basis_matrix",
     "slope_coefficients",
-    "true_slope",
     "gamma_sequence",
     "truth_bundle",
     "replication_seed",
@@ -112,8 +112,9 @@ def basis_matrix(grid: Grid, count: int) -> np.ndarray:
     all p rows are exactly orthonormal in the quadrature inner product."""
     if not 1 <= count <= grid.p:
         raise ParameterError(f"basis count must lie in [1, {grid.p}], got {count}")
-    j_minus_1 = np.arange(count, dtype=float)[:, None]
-    out = math.sqrt(2.0) * np.cos(j_minus_1 * math.pi * grid.points)
+    out = np.arange(count, dtype=float)[:, None] * math.pi * grid.points
+    np.cos(out, out=out)  # in place: the output is the only (count, p) array
+    out *= math.sqrt(2.0)
     out[0] = 1.0
     return out
 
@@ -124,12 +125,6 @@ def slope_coefficients(n_terms: int) -> np.ndarray:
     coefs = 4.0 * (-1.0) ** (j + 1.0) * j**-2.0
     coefs[0] = 0.3
     return coefs
-
-
-def true_slope(grid: Grid, n_terms: int = 50) -> np.ndarray:
-    """The true slope function on the grid, a (p,) finite cosine series of
-    1 <= n_terms <= p terms."""
-    return slope_coefficients(n_terms) @ basis_matrix(grid, n_terms)
 
 
 def gamma_sequence(spacing: str, alpha: float, count: int) -> np.ndarray:
@@ -200,7 +195,7 @@ def _truth_bundle(spacing: str, alpha: float, n_terms: int, p: int) -> TruthBund
     kappa = gamma**2
     order = np.argsort(-kappa, kind="stable")
     bundle = TruthBundle(
-        slope=slope_coefficients(n_terms) @ B,  # true_slope without a second basis
+        slope=slope_coefficients(n_terms) @ B,
         gamma=gamma,
         basis=B,
         eigenvalues=kappa[order],
@@ -244,7 +239,7 @@ def draw_dataset(config: SimConfig) -> tuple[Dataset, TruthBundle]:
     scenario's truth."""
     truth = truth_bundle(config)
     X, y = draw_xy(config.n, config.sigma_eps, config.seed, truth)
-    return Dataset(grid=Grid(config.p), X=X, Y=y), truth
+    return Dataset(X=X, Y=y), truth
 
 
 # p in ASCII digits; the group drops leading zeros.
@@ -255,7 +250,7 @@ def dataset_to_csv(data: Dataset) -> str:
     """Dataset as CSV text: a '# grid=midpoint p=<p>' metadata line, a
     header 'x_1,...,x_p,y', then one row per observation (17 significant
     digits)."""
-    p = data.grid.p
+    p = data.X.shape[1]
     header = ",".join([f"x_{i}" for i in range(1, p + 1)] + ["y"])
     lines = [f"# grid=midpoint p={p}", header]
     row_format = ",".join(["%.17g"] * (p + 1))
@@ -266,15 +261,14 @@ def dataset_to_csv(data: Dataset) -> str:
     return "\n".join(lines)
 
 
-def dataset_from_csv(text: str) -> tuple[Grid, np.ndarray, np.ndarray | None]:
-    """Parse dataset CSV text back into grid, (n, p) covariate matrix and
+def dataset_from_csv(text: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse dataset CSV text back into ``(X, Y)``, the (n, p) covariates and
     responses.  Blank lines are skipped (``_nonblank_lines``), and every cell
     must be a finite number as ``np.loadtxt`` reads it (``_read_cells``); the
     first bad data line is named by its line number, blank lines included.
 
-    The y column is optional: the responses are None when the header has
-    none (new curves to predict on); a caller that needs them checks.
-    The returned arrays are fresh and read-only.
+    The y column is optional: Y is None without it (new curves to predict
+    on); a caller needing Y checks.  Both arrays are fresh and read-only.
     """
     linenos, lines = _nonblank_lines(text)
     if not lines:
@@ -298,7 +292,6 @@ def dataset_from_csv(text: str) -> tuple[Grid, np.ndarray, np.ndarray | None]:
         raise DataFormatError(
             f"dataset CSV header does not match the declared grid size p={declared}"
         )
-    grid = Grid(p)
     table = _parse_rows(lines[2:], linenos[2:], p + 1 if has_y else p, "dataset CSV")
     if has_y:
         X = np.ascontiguousarray(table[:, :p])
@@ -307,5 +300,5 @@ def dataset_from_csv(text: str) -> tuple[Grid, np.ndarray, np.ndarray | None]:
     else:
         X, Y = table, None
     X.setflags(write=False)
-    return grid, X, Y
+    return X, Y
 

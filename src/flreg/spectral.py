@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionMismatchError, ParameterError
-from .grid import _require_symmetric
 
 __all__ = [
     "PerturbationReport",
@@ -39,6 +38,24 @@ __all__ = [
 # Minimum separation between lambda_j and the rest of the reference spectrum
 # for the resolvent identity to be evaluated.
 SEPARATION_FLOOR = 1e-8
+
+# Relative asymmetry allowed in a kernel, in units of max|values|.
+SYMMETRY_RTOL = 1e-12
+
+
+def _require_symmetric(kernels: np.ndarray) -> None:
+    """Raise unless every (p, p) matrix in the (..., p, p) array ``kernels``
+    is symmetric to SYMMETRY_RTOL of its own largest entry.
+
+    An exactly symmetric stack, as BLAS ``syrk`` makes, passes on one
+    elementwise comparison; only other stacks pay for the tolerance
+    reduction.  Both routes accept and reject the same inputs."""
+    if np.array_equal(kernels, np.swapaxes(kernels, -2, -1)):
+        return
+    scale = np.max(np.abs(kernels), axis=(-2, -1))
+    asym = np.max(np.abs(kernels - np.swapaxes(kernels, -2, -1)), axis=(-2, -1))
+    if np.any(asym > SYMMETRY_RTOL * scale):
+        raise ParameterError("kernel is not symmetric within tolerance")
 
 
 def eigh_stack(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

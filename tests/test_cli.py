@@ -95,7 +95,7 @@ class TestFitPredict:
         assert run(["predict", "--model", str(model_path), "--data", str(data),
                     "--out", str(preds)]) == 0
         predictions = np.array([float(v) for v in read(preds).split()])
-        _, _, y = dataset_from_csv(read(data))
+        _, y = dataset_from_csv(read(data))
         assert np.max(np.abs(predictions - y)) <= 1e-4
 
     def test_pca_m_zero_is_precondition_error(self, tmp_path):
@@ -133,6 +133,23 @@ class TestFitPredict:
         assert run(["fit", "--data", str(path), "--method", method,
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"flreg: usage error: --method {method} requires {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", ["valid", "missing"])
+    @pytest.mark.parametrize("method,stray", [(["pca", "--m", "5"], "--rho"),
+                                              (["ridge", "--rho", "0.1"], "--m")],
+                             ids=["pca", "ridge"])
+    def test_other_methods_tuning_flag_is_usage_error(
+        self, tmp_path, capsys, data, method, stray
+    ):
+        # Checked before the data is read, like a missing flag.
+        path = simulate(tmp_path, n=6) if data == "valid" else tmp_path / "missing.csv"
+        out = tmp_path / "model.txt"
+        capsys.readouterr()
+        assert run(["fit", "--data", str(path), "--method", *method,
+                    stray, "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"flreg: usage error: --method {method[0]} does not take {stray}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("method", [["pca", "--m", "1"], ["ridge", "--rho", "0.1"]],

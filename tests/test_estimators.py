@@ -69,7 +69,7 @@ def stack_of_one(moments):
 class TestComputeMoments:
     def test_identical_observations_give_zero_moments(self):
         x = basis(3)
-        data = Dataset(GRID, np.stack([x, x, x]), np.array([1.0, 1.0, 1.0]))
+        data = Dataset(np.stack([x, x, x]), np.array([1.0, 1.0, 1.0]))
         _, _, cov, cross = compute_moments(data)
         # centring identical rows leaves at most 1-ulp residue
         assert math.sqrt(float(np.sum(cov**2))) / 50 <= 1e-30
@@ -77,7 +77,7 @@ class TestComputeMoments:
 
     def test_two_point_hand_case(self):
         phi = basis(2)
-        data = Dataset(GRID, np.stack([phi, -phi]), np.array([1.0, -1.0]))
+        data = Dataset(np.stack([phi, -phi]), np.array([1.0, -1.0]))
         x_mean, y_mean, cov, cross = compute_moments(data)
         assert np.all(x_mean == 0.0) and y_mean == 0.0
         assert np.max(np.abs(cov - np.outer(phi, phi))) <= 1e-12
@@ -109,27 +109,27 @@ class TestComputeMoments:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            Dataset(GRID, basis(1)[None, :], np.array([1.0]))
+            Dataset(basis(1)[None, :], np.array([1.0]))
 
     def test_dataset_matrix_is_validated_and_read_only(self):
         X = np.stack([basis(1), basis(2)])
-        data = Dataset(GRID, X, np.array([1.0, 2.0]))
+        data = Dataset(X, np.array([1.0, 2.0]))
         assert data.n == 2 and data.X.shape == (2, 50)
         assert not data.X.flags.writeable and not data.Y.flags.writeable
         X[0, 0] = 7.0  # the dataset holds its own copy
         assert data.X[0, 0] == 1.0
         X[0, 0] = np.nan
         with pytest.raises(ParameterError):
-            Dataset(GRID, X, np.array([1.0, 2.0]))
+            Dataset(X, np.array([1.0, 2.0]))
         with pytest.raises(ParameterError):
-            Dataset(GRID, np.ones((2, 50)), np.array([1.0, np.inf]))
+            Dataset(np.ones((2, 50)), np.array([1.0, np.inf]))
         with pytest.raises(DimensionMismatchError):
-            Dataset(GRID, np.ones((2, 50)), np.ones(3))
+            Dataset(np.ones((2, 50)), np.ones(3))
 
     def test_callers_arrays_are_copied_and_frozen_fresh_arrays_kept(self):
         rng = np.random.default_rng(12)
         X, Y = rng.standard_normal((4, 50)), rng.standard_normal(4)
-        data = Dataset(GRID, X, Y)
+        data = Dataset(X, Y)
         assert not np.shares_memory(data.X, X) and not np.shares_memory(data.Y, Y)
         X[:] = 0.0
         Y[:] = 0.0
@@ -137,15 +137,25 @@ class TestComputeMoments:
         # a read-only view of a writable array is copied too
         view = rng.standard_normal((4, 50))[:, :]
         view.setflags(write=False)
-        assert not np.shares_memory(Dataset(GRID, view, Y).X, view)
+        assert not np.shares_memory(Dataset(view, Y).X, view)
         # the frozen arrays of a draw or a parsed CSV are held, not copied
         data, _ = draw_dataset(
             SimConfig(n=6, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=4)
         )
-        assert Dataset(GRID, data.X, data.Y).X is data.X
-        grid, X, Y = dataset_from_csv(dataset_to_csv(data))
-        held = Dataset(grid, X, Y)
+        assert Dataset(data.X, data.Y).X is data.X
+        X, Y = dataset_from_csv(dataset_to_csv(data))
+        held = Dataset(X, Y)
         assert held.X is X and held.Y is Y
+
+    def test_dataset_is_its_two_arrays(self):
+        X, Y = np.ones((3, 7)), np.arange(3.0)
+        data = Dataset(X, Y)
+        assert [field.name for field in dataclasses.fields(Dataset)] == ["X", "Y"]
+        assert data.grid.p == X.shape[1] == 7 and data.n == 3
+        with pytest.raises(ParameterError, match="at least 2 points, got p=1"):
+            Dataset(np.ones((3, 1)), Y)
+        with pytest.raises(DimensionMismatchError):
+            Dataset(np.ones(3), Y)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 501, 4097])
     def test_means_are_np_mean_bit_for_bit(self, n):
@@ -385,7 +395,7 @@ class TestInterceptAndPredict:
         data, _ = draw_dataset(
             SimConfig(n=50, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=8)
         )
-        shifted = Dataset(data.grid, data.X, data.Y + 2.5)
+        shifted = Dataset(data.X, data.Y + 2.5)
         for fit in (lambda mo: pca_fit(mo, 3), lambda mo: ridge_fit(mo, 0.01)):
             base = fit(compute_moments(data))
             moved = fit(compute_moments(shifted))
@@ -433,8 +443,6 @@ class TestInterceptAndPredict:
         for X in (np.zeros((3, 20)), np.zeros(50)):
             with pytest.raises(DimensionMismatchError):
                 predict(model, X)
-        with pytest.raises(DimensionMismatchError):
-            Dataset(GRID, np.zeros((3, 20)), np.zeros(3))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

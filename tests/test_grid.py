@@ -16,8 +16,9 @@ from flreg import (
     ridge_fit,
 )
 from flreg.evaluation import integrated_bias_var
-from flreg.grid import SYMMETRY_RTOL, GridFunction, _require_symmetric
+from flreg.grid import GridFunction
 from flreg.simulation import basis_matrix
+from flreg.spectral import SYMMETRY_RTOL, _require_symmetric
 
 # Functions on the grid are (p,) arrays and kernels (p, p) arrays.  The
 # package computes the quadrature inner product <f, g> = f @ g / p in

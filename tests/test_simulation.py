@@ -18,7 +18,6 @@ from flreg import (
     draw_dataset,
     eigendecompose,
     gamma_sequence,
-    true_slope,
     truth_bundle,
 )
 from flreg import estimators, simulation
@@ -64,7 +63,20 @@ class TestBasis:
         with pytest.raises(ParameterError):
             basis_matrix(GRID, 51)
         with pytest.raises(ParameterError):
-            true_slope(GRID, 51)
+            slope_coefficients(51) @ basis_matrix(GRID, 51)
+
+    def test_angles_cosines_and_scale_share_the_output(self):
+        # At count = p = 3000 the output takes 72 MB; a cosine or a scale
+        # into a new array would add a second 72 MB.
+        grid = Grid(3000)
+        grid.points  # cached before the trace
+        tracemalloc.start()
+        try:
+            B = basis_matrix(grid, 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * B.nbytes
 
 
 class TestTrueSlope:
@@ -74,7 +86,7 @@ class TestTrueSlope:
         assert coefs[1] == 4.0 * (-1.0) ** 3 * 2.0**-2.0 == -1.0
 
     def test_projection_onto_third_basis_function(self):
-        b = true_slope(GRID, 50)
+        b = slope_coefficients(50) @ basis_matrix(GRID, 50)
         assert b.shape == (50,)
         assert float(b @ basis(3, GRID)) / GRID.p == pytest.approx(4.0 / 9.0, abs=1e-10)
 
@@ -164,9 +176,10 @@ class TestTruthBundle:
         assert "kernel" not in vars(truth)
 
     def test_basis_is_built_once(self):
-        # The slope is taken on the bundle's own basis, not on a second copy:
-        # at p = n_terms = 3000 each copy takes 72 MB.  An alpha no other test
-        # uses, so the bundle is made under the trace.
+        # The slope is taken on the bundle's own basis, not on a second copy,
+        # and the basis is built in its own memory: at p = n_terms = 3000 each
+        # copy takes 72 MB.  An alpha no other test uses, so the bundle is
+        # made under the trace.
         config = SimConfig(n=2, sigma_eps=0.5, alpha=2.03125, spacing="well_spaced",
                            n_terms=3000, p=3000)
         tracemalloc.start()
@@ -175,8 +188,9 @@ class TestTruthBundle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * truth.basis.nbytes
-        assert truth.slope.tobytes() == true_slope(Grid(3000), 3000).tobytes()
+        assert peak < 1.5 * truth.basis.nbytes
+        reference = slope_coefficients(3000) @ basis_matrix(Grid(3000), 3000)
+        assert truth.slope.tobytes() == reference.tobytes()
 
 
 def reference_draw(config):
@@ -285,8 +299,7 @@ class TestDatasetCsv:
     def test_round_trip_is_lossless(self):
         cfg = SimConfig(n=5, sigma_eps=0.5, alpha=2.0, spacing="closely_spaced", seed=3)
         data, _ = draw_dataset(cfg)
-        grid, X, Y = dataset_from_csv(dataset_to_csv(data))
-        assert grid == data.grid
+        X, Y = dataset_from_csv(dataset_to_csv(data))
         assert np.array_equal(Y, data.Y)
         assert X.shape == (5, 50)
         assert np.array_equal(X, data.X)
@@ -295,7 +308,7 @@ class TestDatasetCsv:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((4, 50)) * 10.0 ** rng.integers(-300, 300, (4, 50))
         X[0, :6] = (0.1, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 2.0**60)
-        data = Dataset(GRID, X, rng.standard_normal(4))
+        data = Dataset(X, rng.standard_normal(4))
         rows = dataset_to_csv(data).splitlines()[2:]
         assert rows == [
             ",".join(f"{v:.17g}" for v in [*x, y]) for x, y in zip(X, data.Y)
@@ -323,8 +336,8 @@ class TestDatasetCsv:
 
     def test_column_count_and_numeric_cells_enforced(self):
         good = "# grid=midpoint p=2\nx_1,x_2,y\n1,2,3\n"
-        grid, X, Y = dataset_from_csv(good)
-        assert grid.p == 2 and Y[0] == 3.0
+        X, Y = dataset_from_csv(good)
+        assert X.shape == (1, 2) and Y[0] == 3.0
         with pytest.raises(DataFormatError):
             dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n1,2\n")
         with pytest.raises(DataFormatError):
@@ -368,16 +381,24 @@ class TestDatasetCsv:
         lines[5:] = [" ", "4,5,6", "\t", "1,2"]
         with pytest.raises(DataFormatError, match="^dataset CSV line 9: expected 3 columns"):
             dataset_from_csv(newline.join(lines) + newline)
-        _, X, Y = dataset_from_csv(newline.join(lines[:-1]) + newline)
+        X, Y = dataset_from_csv(newline.join(lines[:-1]) + newline)
         assert X.tolist() == [[1.0, 2.0], [4.0, 5.0]] and Y.tolist() == [3.0, 6.0]
+
+    @pytest.mark.parametrize("header,row,y", [("x_1,x_2,y", "1,2,3", [3.0]),
+                                              ("x_1,x_2", "1,2", None)])
+    def test_returns_the_two_arrays(self, header, row, y):
+        result = dataset_from_csv(f"# grid=midpoint p=2\n{header}\n{row}\n")
+        assert isinstance(result, tuple) and len(result) == 2
+        X, Y = result
+        assert X.tolist() == [[1.0, 2.0]] and (None if Y is None else Y.tolist()) == y
 
     def test_y_column_optional_only_on_request(self):
         # A header without y gives no responses; fit, which needs them, checks
         # (tests/test_cli.py::TestFitPredict::test_fit_without_y_column_names_it).
         text = "# grid=midpoint p=2\nx_1,x_2\n1,2\n"
-        _, X, Y = dataset_from_csv(text)
+        X, Y = dataset_from_csv(text)
         assert Y is None and X.shape == (1, 2)
-        _, X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n")
+        X, Y = dataset_from_csv("# grid=midpoint p=2\nx_1,x_2,y\n")
         assert X.shape == (0, 2) and Y.shape == (0,)
 
     def test_line_loop_runs_only_when_the_fast_route_rejects(self, monkeypatch):
@@ -391,7 +412,7 @@ class TestDatasetCsv:
                             lambda rows: calls.append(len(rows)) or read_cells(rows))
         cfg = SimConfig(n=4, sigma_eps=0.5, alpha=2.0, spacing="well_spaced", seed=5)
         data, _ = draw_dataset(cfg)
-        _, X, Y = dataset_from_csv(dataset_to_csv(data))
+        X, Y = dataset_from_csv(dataset_to_csv(data))
         assert calls == [4] and X.flags.c_contiguous and Y.flags.c_contiguous
         for cell in ("1_0", "\u0663", "1\u0663"):
             calls.clear()
@@ -410,7 +431,7 @@ class TestDatasetCsv:
             dataset_from_csv(f"{head}1,2,3{char}4,5,6\n1,zap,3\n")
         # Around a cell it is whitespace, and a line of it alone is blank.
         rows = f"1{char},2,{char}3\n{char}\n4,5,6\n"
-        _, X, Y = dataset_from_csv(head + rows)
+        X, Y = dataset_from_csv(head + rows)
         assert X.tolist() == [[1.0, 2.0], [4.0, 5.0]] and Y.tolist() == [3.0, 6.0]
         with pytest.raises(DataFormatError, match="^dataset CSV line 6: non-numeric cell$"):
             dataset_from_csv(head + rows + "1,zap,3\n")
@@ -423,7 +444,7 @@ class TestDatasetCsv:
         spaced = lines[:1] + ["", " \t"] + lines[1:3] + ["\x0c"] + lines[3:] + ["", ""]
         for newline in ("\n", "\r\n", "\r"):
             for text in (newline.join(lines), newline.join(spaced)):
-                _, X, Y = dataset_from_csv(text)
+                X, Y = dataset_from_csv(text)
                 assert X.tobytes() == data.X.tobytes() and Y.tobytes() == data.Y.tobytes()
 
 
@@ -522,7 +543,7 @@ class TestDatasetCsvFastRoute:
         text, p, has_y = case
         table, message = oracle_table(text, p + has_y)
         try:
-            _, X, Y = dataset_from_csv(text)
+            X, Y = dataset_from_csv(text)
         except DataFormatError as exc:
             assert str(exc) == message
             return
