@@ -62,6 +62,9 @@ CORPUS = [
     # Cutoffs beyond the usable rank at n = 20: the stderr note.
     ["mc-table", "--spacing", "closely", "--sigma", "0.5", "--n", "20,100", "--alpha", "2",
      "--reps", "6", "--seed", "7", "--threads", "2"],
+    ["rate-check", "--alpha", "2", "--n", "30,60,120", "--reps", "20",
+     "--seed", "7", "--threads", "1"],
+    # beta is the simulator's slope decay, not a flag: a usage error.
     ["rate-check", "--alpha", "2", "--beta", "2", "--n", "30,60,120", "--reps", "20",
      "--seed", "7", "--threads", "1"],
     ["mc-table", "--spacing", "well", "--sigma", "1e300", "--n", "50", "--alpha", "2",
@@ -87,6 +90,10 @@ CORPUS = [
     _diagnose("well", "50", "2", "0"),
     # A rank-one truth: every eigenvalue after the first is rounding noise.
     ["diagnose", "--n", "40", "--alpha", "1e300", "--spacing", "well", "--j-max", "3"],
+    # An output path naming a directory fails before any rename: t.tsv keeps its bytes.
+    MC_SMALL + ["--out", "t.tsv", "--profile", "."],
+    ["simulate", "--n", "5", "--sigma", "0.5", "--alpha", "2", "--spacing", "well",
+     "--out", "."],
 ]
 
 

@@ -46,9 +46,9 @@ from .evaluation import (
     mc_run,
     rate_fit,
     rate_sample_sizes,
-    theoretical_rate_slope,
 )
 from .simulation import (
+    SLOPE_DECAY,
     SimConfig,
     dataset_from_csv,
     dataset_to_csv,
@@ -116,6 +116,11 @@ def _write_files(outputs: list[tuple[str, str]]) -> None:
     try:
         for path, text in outputs:
             directory = os.path.dirname(os.path.abspath(path)) or "."
+            # A path that names a directory, or lies in a missing one, fails
+            # here with the error that opening it gives: its rename would fail
+            # only after earlier renames had replaced their files.
+            if not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(directory):
+                open(path, "w").close()
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flreg-", suffix=".tmp")
             staged.append(tmp)
             with os.fdopen(fd, "w") as handle:
@@ -220,8 +225,6 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate_check(args: argparse.Namespace) -> int:
-    # Reject a bad exponent or too few distinct sizes before the runs.
-    theoretical_rate_slope(args.alpha, args.beta)
     sizes = rate_sample_sizes(sorted(args.n))
     configs = [
         SimConfig(n=n, sigma_eps=args.sigma, alpha=args.alpha,
@@ -231,7 +234,7 @@ def _cmd_rate_check(args: argparse.Namespace) -> int:
     results = [mc_run(config, args.reps, threads=args.threads) for config in configs]
     lines = ["estimator\tn\tmise\tfitted_slope\ttheoretical_slope"]
     for estimator in ("pca", "ridge"):
-        fit = rate_fit(args.alpha, args.beta, sizes, results, estimator=estimator)
+        fit = rate_fit(args.alpha, SLOPE_DECAY, sizes, results, estimator=estimator)
         for n, mise in zip(fit.sample_sizes, fit.mise_values):
             lines.append(
                 f"{estimator}\t{n}\t{mise:.17g}"
@@ -306,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rate = sub.add_parser("rate-check", help="empirical convergence-rate fit")
     rate.add_argument("--alpha", type=float, required=True)
-    rate.add_argument("--beta", type=float, required=True)
     rate.add_argument("--n", type=_int_list, required=True, help="comma list, >= 3 sizes")
     rate.add_argument("--sigma", type=float, default=0.5)
     rate.add_argument("--reps", type=_bounded_int(2), default=200)

@@ -119,10 +119,13 @@ def basis_matrix(grid: Grid, count: int) -> np.ndarray:
     return out
 
 
+SLOPE_DECAY = 2.0  # beta of the minimax rate: the true slope's coefficients decay as j^-beta
+
+
 def slope_coefficients(n_terms: int) -> np.ndarray:
-    """Basis coefficients of the true slope: 0.3, then 4 (-1)^(j+1) j^(-2)."""
+    """Basis coefficients of the true slope: 0.3, then 4 (-1)^(j+1) j^(-SLOPE_DECAY)."""
     j = np.arange(1, n_terms + 1, dtype=float)
-    coefs = 4.0 * (-1.0) ** (j + 1.0) * j**-2.0
+    coefs = 4.0 * (-1.0) ** (j + 1.0) * j**-SLOPE_DECAY
     coefs[0] = 0.3
     return coefs
 

@@ -17,7 +17,8 @@ import flreg
 import flreg.cli
 from flreg.cli import run
 from flreg.estimators import model_from_text
-from flreg.simulation import dataset_from_csv
+from flreg.evaluation import theoretical_rate_slope
+from flreg.simulation import SLOPE_DECAY, dataset_from_csv
 
 
 def read(path):
@@ -353,8 +354,8 @@ class TestErrorPaths:
           "--reps", "130", "--threads", "2"], "replication cross-covariances"),
         (["mc-table", "--spacing", "well", "--sigma", "1e300", "--n", "50", "--alpha", "2",
           "--reps", "4"], "Monte Carlo errors for n=50 alpha=2 sigma_eps=1e+300"),
-        (["rate-check", "--alpha", "2", "--beta", "2", "--n", "50,60,70", "--reps", "3",
-          "--sigma", "1e300"], "Monte Carlo errors for n=50 alpha=2 sigma_eps=1e+300"),
+        (["rate-check", "--alpha", "2", "--n", "50,60,70", "--reps", "3", "--sigma", "1e300"],
+         "Monte Carlo errors for n=50 alpha=2 sigma_eps=1e+300"),
     ])
     def test_overflow_is_one_line(self, tmp_path, capsys, argv, message):
         # Finite inputs whose prediction, moments or noise overflow: the
@@ -454,7 +455,7 @@ class TestMcTableThreads:
 
 MC_TABLE_ARGV = ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40", "--alpha", "2",
                  "--reps", "4"]
-RATE_CHECK_ARGV = ["rate-check", "--alpha", "2", "--beta", "2", "--n", "20,30,40", "--reps", "3"]
+RATE_CHECK_ARGV = ["rate-check", "--alpha", "2", "--n", "20,30,40", "--reps", "3"]
 DIAGNOSE_ARGV = ["diagnose", "--n", "40", "--alpha", "2", "--spacing", "well"]
 
 
@@ -479,12 +480,33 @@ class TestBatchCommands:
                     "--out", str(out), "--profile", str(prof)]) == 0
         assert read(prof).startswith("candidate\tmise")
 
-    def test_mc_table_failed_profile_leaves_no_table(self, tmp_path):
-        out, prof = tmp_path / "t.tsv", tmp_path / "missing_dir" / "p.tsv"
-        assert run(["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40",
-                    "--alpha", "2", "--reps", "2", "--m-max", "2", "--rho-count", "2",
-                    "--threads", "1", "--out", str(out), "--profile", str(prof)]) == 5
-        assert os.listdir(tmp_path) == []
+    def test_mc_table_failed_profile_leaves_no_table(self, tmp_path, capsys):
+        # A profile path in a missing directory, or naming a directory, fails
+        # before the new table can replace the old one.
+        out = tmp_path / "t.tsv"
+        out.write_text("OLD TABLE\n")
+        (tmp_path / "pdir").mkdir()
+        for prof in (tmp_path / "missing_dir" / "p.tsv", tmp_path / "pdir"):
+            assert run(["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40",
+                        "--alpha", "2", "--reps", "2", "--m-max", "2", "--rho-count", "2",
+                        "--threads", "1", "--out", str(out), "--profile", str(prof)]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("flreg: i/o error: [Errno ") and err.endswith(f"'{prof}'\n")
+            assert err.count("\n") == 1 and ".flreg-" not in err
+            assert sorted(os.listdir(tmp_path)) == ["pdir", "t.tsv"]
+            assert read(out) == "OLD TABLE\n" and os.listdir(tmp_path / "pdir") == []
+
+    @pytest.mark.parametrize("path", ["", "pdir", "new_dir/"])
+    def test_output_naming_a_directory_is_an_io_error(self, tmp_path, capsys, monkeypatch, path):
+        # The empty path runs in pdir, so a file staged in its parent would show.
+        (tmp_path / "pdir").mkdir()
+        monkeypatch.chdir(tmp_path / "pdir" if path == "" else tmp_path)
+        assert run(["simulate", "--n", "5", "--sigma", "0.5", "--alpha", "2",
+                    "--spacing", "well", "--out", path]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("flreg: i/o error: [Errno ") and err.endswith(f"'{path}'\n")
+        assert err.count("\n") == 1 and ".flreg-" not in err
+        assert os.listdir(tmp_path) == ["pdir"] and os.listdir(tmp_path / "pdir") == []
 
     def test_mc_table_same_out_and_profile_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch
@@ -519,14 +541,23 @@ class TestBatchCommands:
         assert calls == []
 
     def test_rate_check_smoke(self, tmp_path):
+        # beta is the simulator's slope decay, whatever the alpha.
+        for alpha in (1.1, 2.0, 4.0):
+            out = tmp_path / "rate.tsv"
+            assert run(["rate-check", "--alpha", str(alpha), "--n", "30,60,120", "--reps", "6",
+                        "--seed", "3", "--threads", "1", "--out", str(out)]) == 0
+            lines = read(out).strip().split("\n")
+            assert lines[0] == "estimator\tn\tmise\tfitted_slope\ttheoretical_slope"
+            assert len(lines) == 1 + 6  # both estimators, three sizes each
+            theory = format(theoretical_rate_slope(alpha, SLOPE_DECAY), ".17g")
+            assert {line.split("\t")[-1] for line in lines[1:]} == {theory}
+
+    def test_rate_check_takes_no_beta(self, tmp_path, capsys):
         out = tmp_path / "rate.tsv"
-        assert run(["rate-check", "--alpha", "2", "--beta", "2",
-                    "--n", "30,60,120", "--reps", "6", "--seed", "3",
-                    "--threads", "1", "--out", str(out)]) == 0
-        lines = read(out).strip().split("\n")
-        assert lines[0] == "estimator\tn\tmise\tfitted_slope\ttheoretical_slope"
-        assert len(lines) == 1 + 6  # both estimators, three sizes each
-        assert lines[1].split("\t")[-1] == f"{-0.5:.17g}"
+        assert run(RATE_CHECK_ARGV + ["--beta", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --beta 2" in captured.err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag,value", [
         ("--rho-max", "inf"), ("--rho-max", "nan"), ("--rho-min", "nan"), ("--rho-max", "1e999"),
@@ -549,7 +580,7 @@ class TestBatchCommands:
         calls = []
         monkeypatch.setattr(flreg.cli, "mc_run", lambda *a, **k: calls.append(a))
         out = tmp_path / "rate.tsv"
-        assert run(["rate-check", "--alpha", "2", "--beta", "2", "--n", sizes,
+        assert run(["rate-check", "--alpha", "2", "--n", sizes,
                     "--reps", "3", "--threads", "1", "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "at least 3 strictly increasing sample sizes" in err and err.count("\n") == 1
@@ -589,13 +620,16 @@ class TestBatchCommands:
         assert f"argument {flag}: expected an integer {bounds}, got '{value}'" in captured.err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("alpha,beta", [("2", "nan"), ("2", "0.4"), ("2", "inf")])
-    def test_rate_check_rejects_meaningless_exponent(self, tmp_path, capsys, alpha, beta):
+    @pytest.mark.parametrize("alpha", ["nan", "0", "inf"])
+    def test_rate_check_rejects_meaningless_exponent(self, tmp_path, capsys, monkeypatch, alpha):
+        calls = []
+        monkeypatch.setattr(flreg.cli, "mc_run", lambda *a, **k: calls.append(a))
         out = tmp_path / "rate.tsv"
-        assert run(["rate-check", "--alpha", alpha, "--beta", beta, "--n", "20,30,40",
+        assert run(["rate-check", "--alpha", alpha, "--n", "20,30,40",
                     "--reps", "3", "--threads", "1", "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert "beta > 1/2" in err and err.count("\n") == 1
+        assert err.startswith("flreg: need finite alpha > 0") and err.count("\n") == 1
+        assert calls == []
         assert not out.exists()
 
     def test_diagnose_smoke(self, tmp_path):
@@ -608,26 +642,7 @@ class TestBatchCommands:
 
 
 class TestScripts:
-    # The experiment scripts are thin wrappers: their output is the CLI's.
     SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
-
-    def script(self, name, *args):
-        return subprocess.run(
-            [sys.executable, os.path.join(self.SCRIPTS, name), *args],
-            capture_output=True, text=True, check=True, timeout=120,
-        ).stdout
-
-    def test_reproduce_tables_wraps_mc_table(self, tmp_path):
-        stdout = self.script("reproduce_tables.py", "--reps", "3", "--sigma", "0.5",
-                             "--n", "30", "--alpha", "2", "--threads", "1",
-                             "--out-dir", str(tmp_path / "res"))
-        for design in ("well", "closely"):
-            table, prof = tmp_path / f"{design}.txt", tmp_path / f"{design}.tsv"
-            assert run(["mc-table", "--spacing", design, "--sigma", "0.5", "--n", "30",
-                        "--alpha", "2", "--reps", "3", "--seed", "7", "--threads", "1",
-                        "--format", "text", "--out", str(table), "--profile", str(prof)]) == 0
-            assert f"== {design} ==\n{read(table)}" in stdout
-            assert read(tmp_path / "res" / f"profile_{design}.tsv") == read(prof)
 
     def test_byte_corpus_runs_agree(self):
         spec = importlib.util.spec_from_file_location(

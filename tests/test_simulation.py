@@ -22,7 +22,7 @@ from flreg import (
 )
 from flreg import estimators, simulation
 from flreg.simulation import (
-    dataset_from_csv, dataset_to_csv, replication_seed, slope_coefficients,
+    SLOPE_DECAY, dataset_from_csv, dataset_to_csv, replication_seed, slope_coefficients,
 )
 
 GRID = Grid(50)
@@ -84,6 +84,24 @@ class TestTrueSlope:
         coefs = slope_coefficients(50)
         assert coefs[0] == 0.3
         assert coefs[1] == 4.0 * (-1.0) ** 3 * 2.0**-2.0 == -1.0
+
+    def test_coefficients_decay_at_slope_decay(self):
+        # SLOPE_DECAY is the beta of the minimax rate that rate-check prints.
+        assert SLOPE_DECAY == 2.0
+        j = np.arange(2, 51, dtype=float)
+        expected = 4.0 * (-1.0) ** (j + 1.0) * j**-SLOPE_DECAY
+        assert slope_coefficients(50)[1:].tobytes() == expected.tobytes()
+
+    def test_well_spaced_cutoff_two_tail_bias(self):
+        # Why acceptance criterion 5 stays red: at alpha = 2 the top two
+        # eigenfunctions are basis 1 and 2, so cutoff m = 2 misses every
+        # later slope coefficient, and those alone square-sum to the
+        # README's 0.317, above the reference's whole squared bias of 0.139.
+        truth = truth_bundle(SimConfig(n=500, sigma_eps=0.5, alpha=2.0, spacing="well_spaced"))
+        assert truth.eigen_order[:2].tolist() == [0, 1]
+        coefs = truth.basis @ truth.slope / GRID.p
+        tail = float(np.sum(coefs[truth.eigen_order[2:]] ** 2))
+        assert tail == pytest.approx(0.31713, abs=1e-5) and tail > 0.139
 
     def test_projection_onto_third_basis_function(self):
         b = slope_coefficients(50) @ basis_matrix(GRID, 50)
