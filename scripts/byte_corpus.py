@@ -85,6 +85,11 @@ CORPUS = [
      "--out", "x.model"],
     ["fit", "--data", "train.csv", "--method", "pca", "--m", "5", "--rho", "0.1",
      "--out", "x.model"],
+    # A bad tuning value fails the path kernel's rule before the data is read.
+    ["fit", "--data", "missing.csv", "--method", "ridge", "--rho", "0", "--out", "x.model"],
+    ["fit", "--data", "missing.csv", "--method", "pca", "--m", "0", "--out", "x.model"],
+    # The report reads only the covariance of X: no noise flag.
+    _diagnose("well", "40", "2", "10") + ["--sigma", "0.5"],
     ["mc-table", "--spacing", "well", "--sigma", "0.5", "--n", "40,1", "--alpha", "2",
      "--reps", "4", "--threads", "1"],
     _diagnose("well", "50", "2", "0"),

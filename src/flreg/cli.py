@@ -6,7 +6,8 @@ Carlo error tables), rate-check (empirical convergence-rate fit) and
 diagnose (spectral perturbation report for a simulated covariance pair).
 A command checks its flags and builds every scenario it will run before it
 reads a file or starts a run, so a usage error or a bad scenario costs no I/O
-and no Monte Carlo work.
+and no Monte Carlo work: fit checks --m >= 1 or a finite, positive --rho (the
+rules of the estimators' path kernels) before it reads --data.
 
 Exit codes: 0 success, 2 usage (--threads below 1, --reps below 2, --m-max
 outside 1..50, --rho-count outside 1..1000, --j-max outside 1..49, mc-table
@@ -31,6 +32,8 @@ import numpy as np
 from .errors import DataFormatError, FlregError
 from .estimators import (
     Dataset,
+    check_cutoff,
+    check_rhos,
     compute_moments,
     model_from_text,
     model_to_text,
@@ -94,18 +97,17 @@ def _bounded_int(lo: int, hi: float = math.inf):
     return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind: type, what: str):
+    """argparse type: comma-separated ``kind`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_int_list, _float_list = _list_of(int, "integers"), _list_of(float, "numbers")
 
 
 def _write_files(outputs: list[tuple[str, str]]) -> None:
@@ -151,15 +153,8 @@ def _read_text(path: str) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = SimConfig(
-        n=args.n,
-        sigma_eps=args.sigma,
-        alpha=args.alpha,
-        spacing=args.spacing,
-        n_terms=args.terms,
-        p=args.p,
-        seed=args.seed,
-    )
+    config = SimConfig(n=args.n, sigma_eps=args.sigma, alpha=args.alpha, spacing=args.spacing,
+                       n_terms=args.terms, p=args.p, seed=args.seed)
     data, _ = draw_dataset(config)
     _emit(dataset_to_csv(data), args.out)
     return EXIT_OK
@@ -167,12 +162,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     pca = args.method == "pca"
-    flag, value, fit = ("--m", args.m, pca_fit) if pca else ("--rho", args.rho, ridge_fit)
+    flag, value, fit, rule = (("--m", args.m, pca_fit, check_cutoff) if pca
+                              else ("--rho", args.rho, ridge_fit, check_rhos))
     other, stray = ("--rho", args.rho) if pca else ("--m", args.m)
     if value is None:
         raise _UsageError(f"--method {args.method} requires {flag}")
     if stray is not None:
         raise _UsageError(f"--method {args.method} does not take {other}")
+    rule(value)  # the path kernel's own check, which needs no data
     X, Y = dataset_from_csv(_read_text(args.data))
     if Y is None:
         raise DataFormatError("dataset CSV header has no y column, which fit needs")
@@ -245,10 +242,10 @@ def _cmd_rate_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    config = SimConfig(
-        n=args.n, sigma_eps=args.sigma, alpha=args.alpha,
-        spacing=args.spacing, seed=args.seed,
-    )
+    # The report reads only the covariance of X, which is drawn before the
+    # noise, so the noise level is not a flag.
+    config = SimConfig(n=args.n, sigma_eps=0.0, alpha=args.alpha, spacing=args.spacing,
+                       seed=args.seed)
     truth = truth_bundle(config)
     data, _ = draw_dataset(config)
     _, _, cov, _ = compute_moments(data)
@@ -321,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--n", type=int, required=True)
     diag.add_argument("--alpha", type=float, required=True)
     diag.add_argument("--spacing", type=_spacing, required=True)
-    diag.add_argument("--sigma", type=float, default=0.5)
     diag.add_argument("--seed", type=int, default=0)
     diag.add_argument("--j-max", type=_bounded_int(1, SimConfig.p - 1), default=10)
     diag.add_argument("--out")

@@ -11,10 +11,12 @@ every candidate at once, for a whole (B, ...) stack of datasets:
 * ``cutoff_path`` (spectral cutoff, smoothing parameter m) sums
   <cross_cov, v_j> / eigenvalue_j * v_j over j <= m by one cumulative sum,
   so the estimates are exactly nested in m; ``pca_fit`` is one of its rows
-  on a stack of one.
+  on a stack of one.  It owns the cutoff rule, m >= 1 (``check_cutoff``),
+  and the rank rule: no row beyond the stack's smallest usable rank.
 * ``ridge_path`` (Tikhonov ridge, smoothing parameter rho) weights all p
   eigenpairs by 1 / (eigenvalue_j + rho) in one batched matrix product;
-  ``ridge_fit`` is one of its rows on a stack of one.
+  ``ridge_fit`` is one of its rows on a stack of one.  It owns the rho
+  rule: every rho finite and positive (``check_rhos``).
 
 The kernels apply the same operations to every matrix of a stack, so a
 dataset's estimates do not depend on which stack it was solved in, and a
@@ -53,6 +55,8 @@ __all__ = [
     "moment_arrays",
     "compute_moments",
     "usable_rank",
+    "check_cutoff",
+    "check_rhos",
     "cutoff_path",
     "ridge_path",
     "pca_fit",
@@ -140,23 +144,34 @@ def compute_moments(data: Dataset) -> Moments:
     return moment_arrays(data.X, data.Y)
 
 
-def _usable_ranks(vals: np.ndarray) -> np.ndarray:
-    """Per row of the (B, p) nonincreasing eigenvalues, the number of leading
-    eigenvalues safely above the numerical-null cutoff."""
-    top = vals[:, :1]
-    return np.where(top[:, 0] > 0.0, np.sum(vals > PCA_RANK_RTOL * top, axis=1), 0)
-
-
 def usable_rank(vals: np.ndarray) -> int:
-    """Number of leading eigenvalues, of the (p,) nonincreasing ``vals``,
-    safely above the numerical-null cutoff."""
-    return int(_usable_ranks(np.asarray(vals, dtype=float)[None])[0])
+    """Number of leading eigenvalues safely above the numerical-null cutoff,
+    of the (p,) nonincreasing ``vals``, or the smallest such number over the
+    rows of a (B, p) stack of them."""
+    vals = np.asarray(vals, dtype=float)
+    top = vals[..., :1]
+    return int(np.min(np.where(top[..., 0] > 0.0, np.sum(vals > PCA_RANK_RTOL * top, axis=-1), 0)))
 
 
 def _eigen_coords(vecs: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Quadrature inner products <cross_b, v_bj>, as (B, p), of each of the
     B cross-covariances with all p eigenfunctions of its own stack entry."""
     return (cross[:, None, :] @ vecs)[:, 0] / vecs.shape[-1]
+
+
+def check_cutoff(m: int) -> None:
+    """The cutoff rule: a spectral cutoff m is at least 1."""
+    if m < 1:
+        raise RankError(f"spectral cutoff must be at least 1, got m={m}")
+
+
+def check_rhos(rhos) -> np.ndarray:
+    """The rho rule: every ridge parameter in ``rhos`` is finite and positive."""
+    rhos = np.asarray(rhos, dtype=float)
+    bad = rhos[~((rhos > 0.0) & (rhos < math.inf))]
+    if bad.size:
+        raise ParameterError(f"ridge parameter must be finite and positive, got {bad[0].item()}")
+    return rhos
 
 
 def cutoff_path(
@@ -166,7 +181,8 @@ def cutoff_path(
     of B eigendecompositions (``vals`` (B, p), ``vecs`` (B, p, p), as from
     ``eigh_stack``) and their (B, p) cross-covariances.  k = min(m_max,
     smallest usable rank in the stack); terms are summed in ascending j."""
-    k = min(m_max, int(np.min(_usable_ranks(vals))))
+    check_cutoff(m_max)
+    k = min(m_max, usable_rank(vals))
     coefs = _eigen_coords(vecs, cross)[:, :k] / vals[:, :k]
     return np.cumsum(coefs[:, :, None] * np.swapaxes(vecs[:, :, :k], 1, 2), axis=1)
 
@@ -174,11 +190,9 @@ def cutoff_path(
 def ridge_path(
     vals: np.ndarray, vecs: np.ndarray, cross: np.ndarray, rhos: tuple[float, ...]
 ) -> np.ndarray:
-    """Ridge slopes for each finite, positive rho in ``rhos``, as (B, K, p),
-    from the same stacks as ``cutoff_path``."""
-    rhos = np.asarray(rhos, dtype=float)
-    if not np.all((rhos > 0.0) & (rhos < math.inf)):
-        raise ParameterError(f"ridge parameters must be finite and positive, got {rhos}")
+    """Ridge slopes for each rho in ``rhos``, as (B, K, p), from the same
+    stacks as ``cutoff_path``."""
+    rhos = check_rhos(rhos)
     coords = _eigen_coords(vecs, cross)[:, None, :]
     return (coords / (vals[:, None, :] + rhos[:, None])) @ np.swapaxes(vecs, 1, 2)
 
@@ -204,24 +218,18 @@ def _stack_of_one(moments: Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def pca_fit(moments: Moments, m: int) -> FittedModel:
     """Spectral-cutoff slope estimate using the top m empirical eigenpairs of
     the moments' covariance, the m-th row of ``cutoff_path`` on a stack of
-    one."""
-    vals, vecs, cross = _stack_of_one(moments)
-    rank = usable_rank(vals[0])
-    if not 1 <= m <= rank:
-        raise RankError(
-            f"cutoff m={m} outside the usable spectral rank; "
-            f"largest admissible m is {rank}"
-        )
-    return _fitted(cutoff_path(vals, vecs, cross, m)[0, -1], moments, "pca", m)
+    one.  The path has fewer than m rows if m exceeds the usable rank."""
+    path = cutoff_path(*_stack_of_one(moments), m)
+    if path.shape[1] < m:
+        raise RankError(f"cutoff m={m} outside the usable spectral rank; "
+                        f"largest admissible m is {path.shape[1]}")
+    return _fitted(path[0, -1], moments, "pca", m)
 
 
 def ridge_fit(moments: Moments, rho: float) -> FittedModel:
     """Tikhonov-regularised slope estimate, the solution of the p x p system
     (cov / p + rho * identity) slope = cross_cov: the row of ``ridge_path``
-    for ``rho`` on a stack of one.  ``rho`` must be finite and strictly
-    positive, which makes the system nonsingular."""
-    if not 0.0 < rho < math.inf:
-        raise ParameterError(f"ridge parameter must be finite and positive, got {rho}")
+    for ``rho`` on a stack of one.  The rho rule makes the system nonsingular."""
     return _fitted(ridge_path(*_stack_of_one(moments), (rho,))[0, 0], moments, "ridge", rho)
 
 

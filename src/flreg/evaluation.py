@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RankError
-from .estimators import cutoff_path, moment_arrays, ridge_path
+from .estimators import check_rhos, cutoff_path, moment_arrays, ridge_path
 from .simulation import SimConfig, TruthBundle, draw_xy, replication_seed, truth_bundle
 from .spectral import eigh_stack
 
@@ -225,10 +225,9 @@ def mc_run(
     rho_grid = tuple(sorted({float(r) for r in rho_grid}))
     if not m_grid or m_grid[0] < 1:
         raise ParameterError(f"cutoff candidates must be nonempty and >= 1, got {m_grid}")
-    if not rho_grid or not all(0.0 < rho < math.inf for rho in rho_grid):
-        raise ParameterError(
-            f"ridge candidates must be nonempty, finite and positive, got {rho_grid}"
-        )
+    if not rho_grid:
+        raise ParameterError("ridge candidates must be nonempty")
+    check_rhos(rho_grid)
 
     truth = truth_bundle(config)
     target, p = truth.slope, config.p
@@ -329,12 +328,9 @@ def rate_fit(
     sizes = rate_sample_sizes(sample_sizes)
     if len(results) != len(sizes):
         raise ParameterError("one McResult per sample size required")
-    if estimator == "pca":
-        mise = tuple(r.mise_pca for r in results)
-    elif estimator == "ridge":
-        mise = tuple(r.mise_ridge for r in results)
-    else:
+    if estimator not in ("pca", "ridge"):
         raise ParameterError(f"unknown estimator {estimator!r}")
+    mise = tuple(getattr(r, f"mise_{estimator}") for r in results)
     if min(mise) <= 0.0:
         raise ParameterError("MISE must be positive to fit a log-log slope")
     slope = float(np.polyfit(np.log(sizes), np.log(mise), 1)[0])
@@ -406,7 +402,5 @@ def emit_profile(results: list[McResult]) -> str:
         for rho, mise in result.rho_profile:
             lines.append(f"rho={rho:.17g}\t{mise:.17g}")
         if result.excluded_m:
-            lines.append(
-                "# excluded m: " + ",".join(str(m) for m in result.excluded_m)
-            )
+            lines.append("# excluded m: " + ",".join(map(str, result.excluded_m)))
     return "\n".join(lines) + "\n"

@@ -136,6 +136,30 @@ class TestFitPredict:
         assert capsys.readouterr().err == f"flreg: usage error: --method {method} requires {flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", ["missing", "non-numeric"])
+    @pytest.mark.parametrize("method,value,message", [
+        ("ridge", "0", "ridge parameter must be finite and positive, got 0.0"),
+        ("ridge", "-1", "ridge parameter must be finite and positive, got -1.0"),
+        ("ridge", "nan", "ridge parameter must be finite and positive, got nan"),
+        ("ridge", "inf", "ridge parameter must be finite and positive, got inf"),
+        ("pca", "0", "spectral cutoff must be at least 1, got m=0"),
+        ("pca", "-1", "spectral cutoff must be at least 1, got m=-1"),
+    ])
+    def test_bad_tuning_value_is_precondition_error_before_read(
+        self, tmp_path, capsys, data, method, value, message
+    ):
+        # The tuning rule needs no data: a missing file would exit 5 and a
+        # malformed one 3.
+        path = tmp_path / "data.csv"
+        if data == "non-numeric":
+            path.write_text("# grid=midpoint p=2\nx_1,x_2,y\n1,zap,3\n")
+        out = tmp_path / "model.txt"
+        flag = "--m" if method == "pca" else "--rho"
+        assert run(["fit", "--data", str(path), "--method", method, flag, value,
+                    "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"flreg: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("data", ["valid", "missing"])
     @pytest.mark.parametrize("method,stray", [(["pca", "--m", "5"], "--rho"),
                                               (["ridge", "--rho", "0.1"], "--m")],
@@ -639,6 +663,13 @@ class TestBatchCommands:
         lines = read(out).strip().split("\n")
         assert lines[0].startswith("# hs_gap=")
         assert len(lines) == 2 + 4
+
+    def test_diagnose_takes_no_sigma(self, tmp_path, capsys):
+        # The report reads only the covariance of X, drawn before the noise.
+        out = tmp_path / "diag.tsv"
+        assert run(DIAGNOSE_ARGV + ["--sigma", "0.5", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --sigma 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScripts:

@@ -343,8 +343,15 @@ class TestPathKernels:
     def test_ridge_path_rejects_bad_rho(self):
         moments = random_psd_moments(3)
         for rho in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=f"finite and positive, got {rho}$"):
                 ridge_path(*stack_of_one(moments), (1e-2, rho))
+
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_cutoff_path_rejects_cutoff_below_one(self, m_max):
+        # A negative m_max would slice from the end: p - 1 rows for m_max = -1.
+        vals, vecs, cross = stack_of_one(random_psd_moments(3))
+        with pytest.raises(RankError, match=f"at least 1, got m={m_max}$"):
+            cutoff_path(vals, vecs, cross, m_max)
 
 
 class TestSignInvariance:

@@ -184,6 +184,15 @@ class TestMcRun:
         with pytest.raises(ParameterError):
             mc_run(SMALL, 4, threads=0)
 
+    def test_bad_rho_is_rejected_before_any_draw(self, monkeypatch):
+        # The rho rule is the path kernel's own check, run before the first draw.
+        calls = []
+        monkeypatch.setattr(evaluation, "draw_xy", lambda *args: calls.append(args))
+        with pytest.raises(ParameterError,
+                           match=r"^ridge parameter must be finite and positive, got 0\.0$"):
+            mc_run(SMALL, 4, rho_grid=(1e-2, 0.0))
+        assert calls == []
+
     def test_replication_moments_are_the_datasets_moments(self):
         config = SimConfig(n=30, sigma_eps=0.5, alpha=2.0, spacing="closely_spaced", seed=11)
         reps = range(61, 67)
